@@ -10,137 +10,48 @@ identity EVPPI = EVPI - (EVPI - EVPPI).
 
 Typical use:
 
-    from voimc import MlmcConfig, RandomStream, make_model, mlmc_run
+    from voimc import RandomStream, make_model
+    from voimc.mlmc import MlmcConfig, mlmc_run
 
     model = make_model("synthetic1")
     result = mlmc_run(model, MlmcConfig(epsilon=0.002), RandomStream(7))
     print(result.estimate)
 
-The command-line entry point ``voimc`` wraps the same operations.
+The command-line entry point ``voimc`` wraps the same operations. The top
+level exports the models, the error types and the stream and moment
+primitives; everything else is imported from its module, in dependency
+order ``streams``/``models`` -> ``estimators`` -> ``diagnostics`` ->
+``mlmc`` -> ``cli``.
 """
 
-from .diagnostics import (
-    ComparisonRow,
-    EvppiReport,
-    LevelStats,
-    RateEstimates,
-    cost_comparison,
-    evppi_report,
-    fit_rates,
-    level_stats,
-    level_sweep,
-    projected_costs,
-    stats_from_accumulators,
-)
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    InsufficientDataError,
-    VoimcError,
-)
-from .estimators import (
-    Estimate,
-    LevelSample,
-    accumulate_level,
-    accumulate_p_level,
-    antithetic_terms,
-    argmax_decision,
-    evpi_mc,
-    nested_mc,
-    p_level,
-    sample_level_batch,
-    z_level,
-)
-from .mlmc import (
-    MlmcConfig,
-    MlmcResult,
-    bias_converged,
-    bias_remainder,
-    mlmc_run,
-    optimal_allocation,
-    warmup,
-)
+from .errors import CapabilityError, ConfigError, InsufficientDataError, VoimcError
 from .models import (
-    BKOC_CORRELATED_PAIRS,
-    BKOC_DEFAULT_OUTER,
-    BKOC_LAMBDA,
-    BKOC_MEANS,
-    BKOC_STD_DEVS,
-    AssumptionClass,
     BkocModel,
     DecisionModel,
-    GaussianModelSpec,
-    MODEL_NAMES,
     SyntheticModel,
-    conditional_mean,
-    load_model_config,
     make_model,
-    payoff,
-    sample_correlated_normals,
     synthetic1,
     synthetic2,
     synthetic3,
 )
-from .moments import CompensatedSum, MomentAccumulator
+from .moments import MomentAccumulator
 from .streams import RandomStream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionClass",
-    "BKOC_CORRELATED_PAIRS",
-    "BKOC_DEFAULT_OUTER",
-    "BKOC_LAMBDA",
-    "BKOC_MEANS",
-    "BKOC_STD_DEVS",
     "BkocModel",
     "CapabilityError",
-    "ComparisonRow",
-    "CompensatedSum",
     "ConfigError",
     "DecisionModel",
-    "Estimate",
-    "EvppiReport",
-    "GaussianModelSpec",
     "InsufficientDataError",
-    "LevelSample",
-    "LevelStats",
-    "MODEL_NAMES",
-    "MlmcConfig",
-    "MlmcResult",
     "MomentAccumulator",
     "RandomStream",
-    "RateEstimates",
     "SyntheticModel",
     "VoimcError",
-    "accumulate_level",
-    "accumulate_p_level",
-    "antithetic_terms",
-    "argmax_decision",
-    "bias_converged",
-    "bias_remainder",
-    "conditional_mean",
-    "cost_comparison",
-    "evpi_mc",
-    "evppi_report",
-    "fit_rates",
-    "level_stats",
-    "level_sweep",
-    "load_model_config",
     "make_model",
-    "mlmc_run",
-    "nested_mc",
-    "optimal_allocation",
-    "p_level",
-    "payoff",
-    "projected_costs",
-    "sample_correlated_normals",
-    "sample_level_batch",
-    "stats_from_accumulators",
     "synthetic1",
     "synthetic2",
     "synthetic3",
-    "warmup",
-    "z_level",
     "__version__",
 ]

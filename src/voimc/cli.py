@@ -21,17 +21,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .diagnostics import (
-    ComparisonRow,
-    EvppiReport,
-    LevelStats,
-    cost_comparison,
-    evppi_report,
-    fit_rates,
-    level_sweep,
-)
+from .diagnostics import LevelStats, fit_rates, level_sweep
 from .errors import ConfigError, InsufficientDataError, VoimcError
-from .mlmc import MlmcConfig, MlmcResult, mlmc_run
+from .mlmc import MlmcConfig, cost_comparison, evppi_report, mlmc_run
 from .models import BkocModel, DecisionModel, MODEL_NAMES, make_model
 from .streams import RandomStream
 
@@ -241,16 +233,6 @@ def _outer_list(model: DecisionModel) -> list[int] | None:
     return None
 
 
-def _envelope(args, command: str, model: DecisionModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "model": _model_label(args),
-        "outer_indices": _outer_list(model),
-        "seed": int(args.seed),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Plot scripts
 
@@ -290,48 +272,79 @@ def _emit_plot(args, path: Path, template: str) -> Path:
 # Subcommands
 
 
+def _write_output(
+    args,
+    model: DecisionModel,
+    default_format: str,
+    fields: dict,
+    columns: Sequence[str],
+    rows: Sequence[Sequence],
+    summary: str,
+    plot: str | None = None,
+    failure: str | None = None,
+) -> int:
+    """Write one command's result file and summary line; returns the exit code.
+
+    JSON output is the envelope plus ``fields``; CSV output is ``columns``
+    and ``rows``. ``plot`` is the gnuplot template ``--emit-plot-script``
+    writes, and a ``failure`` message marks a non-converged run (exit 4).
+    """
+    fmt = args.format or default_format
+    path = _output_path(args, f"voimc_{args.command}_{_model_label(args)}.{fmt}")
+    if fmt == "json":
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "model": _model_label(args),
+            "outer_indices": _outer_list(model),
+            "seed": int(args.seed),
+        }
+        write_json(path, {**envelope, **fields})
+    else:
+        write_csv(path, columns, rows)
+    note = ""
+    if plot is not None and args.emit_plot_script:
+        note = f" plot={_emit_plot(args, path, plot)}"
+    print(f"{summary} -> {path}{note}")
+    if failure is not None:
+        _emit_error("non_convergence", f"{failure}; partial results written to {path}")
+        return 4
+    return 0
+
+
 def _cmd_run(args) -> int:
     model = _build_model(args)
     epsilon = _single_epsilon(args)
     config = MlmcConfig(epsilon=epsilon, max_level=_positive(args.max_level, "--max-level"))
     result = mlmc_run(model, config, RandomStream(args.seed), threads=args.threads)
-    fmt = args.format or "json"
-    path = _output_path(args, f"voimc_run_{_model_label(args)}.{fmt}")
-    if fmt == "json":
-        payload = _envelope(args, "run", model)
-        payload.update(
-            {
-                "epsilon": result.epsilon,
-                "estimate": result.estimate,
-                "converged": result.converged,
-                "variance_of_estimator": result.variance_of_estimator,
-                "bias_estimate": result.bias_estimate,
-                "fitted_alpha": result.fitted_alpha,
-                "fitted_beta": result.fitted_beta,
-                "max_level_used": result.max_level_used,
-                "total_cost": result.total_cost,
-                "allocations": list(result.allocations),
-                "levels": _level_dicts(result.level_stats),
-                "history": list(result.history),
-                "warnings": list(result.warnings),
-            }
-        )
-        write_json(path, payload)
-    else:
-        write_csv(path, _LEVEL_COLUMNS, _level_rows(result.level_stats))
     status = "converged" if result.converged else "NOT CONVERGED"
-    print(
-        f"run {_model_label(args)} epsilon={epsilon:g} estimate={result.estimate:.6g} "
-        f"{status} levels=1..{result.max_level_used} cost={result.total_cost} -> {path}"
+    return _write_output(
+        args,
+        model,
+        "json",
+        fields={
+            "epsilon": result.epsilon,
+            "estimate": result.estimate,
+            "converged": result.converged,
+            "variance_of_estimator": result.variance_of_estimator,
+            "bias_estimate": result.bias_estimate,
+            "fitted_alpha": result.fitted_alpha,
+            "fitted_beta": result.fitted_beta,
+            "max_level_used": result.max_level_used,
+            "total_cost": result.total_cost,
+            "allocations": list(result.allocations),
+            "levels": _level_dicts(result.level_stats),
+            "history": list(result.history),
+            "warnings": list(result.warnings),
+        },
+        columns=_LEVEL_COLUMNS,
+        rows=_level_rows(result.level_stats),
+        summary=f"run {_model_label(args)} epsilon={epsilon:g} estimate={result.estimate:.6g} "
+        f"{status} levels=1..{result.max_level_used} cost={result.total_cost}",
+        failure=None
+        if result.converged
+        else f"bias target not reached by level {result.max_level_used}",
     )
-    if not result.converged:
-        _emit_error(
-            "non_convergence",
-            f"bias target not reached by level {result.max_level_used}; "
-            f"partial results written to {path}",
-        )
-        return 4
-    return 0
 
 
 def _cmd_levels(args) -> int:
@@ -349,76 +362,48 @@ def _cmd_levels(args) -> int:
     except InsufficientDataError:
         rates = None
         rate_note = "rates unavailable"
-    fmt = args.format or "csv"
-    path = _output_path(args, f"voimc_levels_{_model_label(args)}.{fmt}")
-    if fmt == "json":
-        payload = _envelope(args, "levels", model)
-        payload.update(
-            {
-                "n_per_level": int(args.n),
-                "levels": _level_dicts(stats),
-                "rates": None
-                if rates is None
-                else {
-                    "alpha": rates.alpha,
-                    "beta": rates.beta,
-                    "gamma": rates.gamma,
-                    "r_squared_alpha": rates.r_squared_alpha,
-                    "r_squared_beta": rates.r_squared_beta,
-                },
-            }
-        )
-        write_json(path, payload)
-    else:
-        write_csv(path, _LEVEL_COLUMNS, _level_rows(stats))
-    note = ""
-    if args.emit_plot_script:
-        note = f" plot={_emit_plot(args, path, _LEVELS_PLOT)}"
-    print(
-        f"levels {_model_label(args)} n={args.n} levels=0..{args.max_level} "
-        f"{rate_note} -> {path}{note}"
+    return _write_output(
+        args,
+        model,
+        "csv",
+        fields={
+            "n_per_level": int(args.n),
+            "levels": _level_dicts(stats),
+            "rates": None
+            if rates is None
+            else {
+                "alpha": rates.alpha,
+                "beta": rates.beta,
+                "gamma": rates.gamma,
+                "r_squared_alpha": rates.r_squared_alpha,
+                "r_squared_beta": rates.r_squared_beta,
+            },
+        },
+        columns=_LEVEL_COLUMNS,
+        rows=_level_rows(stats),
+        summary=f"levels {_model_label(args)} n={args.n} levels=0..{args.max_level} {rate_note}",
+        plot=_LEVELS_PLOT,
     )
-    return 0
 
 
 def _cmd_compare(args) -> int:
     model = _build_model(args)
-    epsilons = _epsilon_list(args)
-    rows = cost_comparison(model, epsilons, RandomStream(args.seed), threads=args.threads)
-    fmt = args.format or "csv"
-    path = _output_path(args, f"voimc_compare_{_model_label(args)}.{fmt}")
-    if fmt == "json":
-        payload = _envelope(args, "compare", model)
-        payload.update(
-            {
-                "replications": 1,
-                "rows": [
-                    {
-                        "epsilon": r.epsilon,
-                        "mlmc_cost": r.mlmc_cost,
-                        "std_cost_model": r.std_cost_model,
-                        "ratio": r.ratio,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-        write_json(path, payload)
-    else:
-        write_csv(
-            path,
-            _COMPARE_COLUMNS,
-            [(r.epsilon, r.mlmc_cost, r.std_cost_model, r.ratio) for r in rows],
-        )
-    note = ""
-    if args.emit_plot_script:
-        note = f" plot={_emit_plot(args, path, _COMPARE_PLOT)}"
-    ratios = [r.ratio for r in rows]
-    print(
-        f"compare {_model_label(args)} targets={len(rows)} "
-        f"ratio={min(ratios):.3g}..{max(ratios):.3g} -> {path}{note}"
+    rows = cost_comparison(
+        model, _epsilon_list(args), RandomStream(args.seed), threads=args.threads
     )
-    return 0
+    values = [(r.epsilon, r.mlmc_cost, r.std_cost_model, r.ratio) for r in rows]
+    ratios = [r.ratio for r in rows]
+    return _write_output(
+        args,
+        model,
+        "csv",
+        fields={"replications": 1, "rows": [dict(zip(_COMPARE_COLUMNS, v)) for v in values]},
+        columns=_COMPARE_COLUMNS,
+        rows=values,
+        summary=f"compare {_model_label(args)} targets={len(rows)} "
+        f"ratio={min(ratios):.3g}..{max(ratios):.3g}",
+        plot=_COMPARE_PLOT,
+    )
 
 
 def _cmd_evppi(args) -> int:
@@ -432,45 +417,26 @@ def _cmd_evppi(args) -> int:
         RandomStream(args.seed),
         threads=args.threads,
     )
-    fmt = args.format or "json"
-    path = _output_path(args, f"voimc_evppi_{_model_label(args)}.{fmt}")
-    row = (
-        report.evpi,
-        report.evpi_std_error,
-        report.difference,
-        report.difference_rms_error,
-        report.evppi,
-        report.evppi_rms_error,
-    )
-    if fmt == "json":
-        payload = _envelope(args, "evppi", model)
-        payload.update(dict(zip(_EVPPI_COLUMNS, row)))
-        payload.update(
-            {
-                "epsilon": report.epsilon,
-                "n_evpi": report.n_evpi,
-                "converged": report.converged,
-                "total_cost": report.mlmc_result.total_cost,
-                "warnings": list(report.mlmc_result.warnings),
-            }
-        )
-        write_json(path, payload)
-    else:
-        write_csv(path, _EVPPI_COLUMNS, [row])
+    row = tuple(getattr(report, column) for column in _EVPPI_COLUMNS)
     status = "" if report.converged else " NOT CONVERGED"
-    print(
-        f"evppi {_model_label(args)} evpi={report.evpi:.6g} "
-        f"difference={report.difference:.6g} evppi={report.evppi:.6g}"
-        f"{status} -> {path}"
+    return _write_output(
+        args,
+        model,
+        "json",
+        fields={
+            **dict(zip(_EVPPI_COLUMNS, row)),
+            "epsilon": report.epsilon,
+            "n_evpi": report.n_evpi,
+            "converged": report.converged,
+            "total_cost": report.mlmc_result.total_cost,
+            "warnings": list(report.mlmc_result.warnings),
+        },
+        columns=_EVPPI_COLUMNS,
+        rows=[row],
+        summary=f"evppi {_model_label(args)} evpi={report.evpi:.6g} "
+        f"difference={report.difference:.6g} evppi={report.evppi:.6g}{status}",
+        failure=None if report.converged else f"driver did not converge at epsilon={epsilon:g}",
     )
-    if not report.converged:
-        _emit_error(
-            "non_convergence",
-            f"driver did not converge at epsilon={epsilon:g}; "
-            f"partial results written to {path}",
-        )
-        return 4
-    return 0
 
 
 _COMMANDS = {
@@ -484,6 +450,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _positive(args.threads, "--threads")
         return _COMMANDS[args.command](args)
     except VoimcError as exc:
         _emit_error("config", str(exc))

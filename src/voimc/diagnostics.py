@@ -1,11 +1,12 @@
-"""Level-resolved statistics, convergence-rate fits, and cost comparisons.
+"""Level-resolved statistics, convergence-rate fits, and cost models.
 
-Everything here answers one of three questions about the multilevel
-estimator on a given model: how fast do the level corrections decay
-(level_sweep, fit_rates), what does the adaptive driver actually pay at a
-target accuracy (cost_comparison), and how does that compare with plain
-nested sampling (the modeled standard-MC cost). The value-of-information
-summary for a model and partition lives here too (evppi_report).
+Everything here answers a question about the multilevel estimator from
+level statistics alone: how fast do the level corrections decay
+(level_sweep, fit_rates), how large is the bias left beyond the finest level
+(bias_remainder), and what would plain nested sampling or the adaptive
+driver pay at a target accuracy (standard_cost, projected_costs). Running
+the driver itself is the job of :mod:`voimc.mlmc`, which builds on this
+module.
 
 Sweeps fan blocks out across workers per level and merge moment
 accumulators in block order, so every statistic is independent of the
@@ -14,7 +15,6 @@ worker count.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .estimators import Estimate, accumulate_level, accumulate_p_level, evpi_mc
-from .models import BkocModel, DecisionModel
+from .estimators import accumulate_level, accumulate_p_level
+from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
 
@@ -31,7 +31,7 @@ from .streams import RandomStream
 # default driver warm-up is sized for one accurate run; a cost comparison
 # spans coarse targets where that much warm-up would dominate the measured
 # cost and flatten nothing, so these runs use a lighter one.
-_COMPARISON_WARMUP = 300
+COMPARISON_WARMUP = 300
 
 
 @dataclass(frozen=True)
@@ -84,27 +84,6 @@ def stats_from_accumulators(
         var_p=float(acc_p.variance()),
         cost_per_sample=1 << int(level),
     )
-
-
-def level_stats(
-    z_values: Sequence[float], p_values: Sequence[float], level: int
-) -> LevelStats:
-    """Summarize raw draws of (Z_l, P_l) into a LevelStats row.
-
-    Needs at least two draws for the variance; the kurtosis is NaN whenever
-    the variance vanishes.
-    """
-    z = np.asarray(z_values, dtype=np.float64).ravel()
-    p = np.asarray(p_values, dtype=np.float64).ravel()
-    if z.size != p.size:
-        raise ValueError("need one P draw per Z draw")
-    if z.size < 2:
-        raise ValueError("level statistics need at least two draws")
-    acc_z = MomentAccumulator()
-    acc_p = MomentAccumulator()
-    acc_z.add_block(z)
-    acc_p.add_block(p)
-    return stats_from_accumulators(level, acc_z, acc_p)
 
 
 def _log2_line(points: list[tuple[int, float]]) -> tuple[float, float]:
@@ -167,9 +146,9 @@ def level_sweep(
     rather than assumed; its Z statistics are zero by definition.
     """
     if max_level < 1:
-        raise ValueError("max_level must be at least 1")
+        raise ConfigError("max_level must be at least 1")
     if n_per_level < 1_000:
-        raise ValueError("level sweeps need at least 1000 draws per level")
+        raise ConfigError("level sweeps need at least 1000 draws per level")
     acc_p0 = MomentAccumulator()
     accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, threads=threads)
     rows = [
@@ -194,6 +173,42 @@ def level_sweep(
     return rows
 
 
+def bias_remainder(stats: Sequence[LevelStats], alpha: float, at_level: int) -> float:
+    """Extrapolated |E[P - P_L]| at L = ``at_level``: geometric tail of the
+    level means at decay rate alpha, anchored on the last three measured
+    levels and taking their maximum for robustness to one noisy mean."""
+    if not stats:
+        raise ValueError("remainder extrapolation needs level statistics")
+    if alpha <= 0.0 or not math.isfinite(alpha):
+        raise ValueError("alpha must be positive")
+    ordered = sorted(stats, key=lambda s: s.level)
+    denom = 2.0**alpha - 1.0
+    return max(
+        abs(s.mean_z) * 2.0 ** (alpha * (s.level - at_level)) / denom for s in ordered[-3:]
+    )
+
+
+def standard_cost(
+    stats: Sequence[LevelStats], alpha: float, epsilon: float
+) -> tuple[int, float]:
+    """Level cutoff and modeled cost of plain nested MC at RMS accuracy epsilon.
+
+    The cutoff L is the smallest level whose extrapolated bias clears
+    eps/sqrt(2); the sample count is the usual 2 Var[P] eps^-2, each draw
+    costing 2^L inner samples. Var[P] is taken from the finest measured
+    level, where P_l has essentially converged to P.
+    """
+    coefficient = bias_remainder(stats, alpha, 0)
+    if coefficient <= 0.0:
+        cutoff = 1
+    else:
+        target = epsilon / math.sqrt(2.0)
+        cutoff = max(1, math.ceil(math.log2(coefficient / target) / alpha))
+    finest = max(stats, key=lambda s: s.level)
+    n_std = math.ceil(2.0 * finest.var_p / (epsilon * epsilon))
+    return cutoff, float(n_std) * 2.0**cutoff
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     """One accuracy target: the multilevel cost against the modeled
@@ -205,69 +220,10 @@ class ComparisonRow:
     ratio: float
 
 
-def _standard_cost_model(stats: Sequence[LevelStats], alpha: float, epsilon: float) -> float:
-    """Modeled cost of plain nested MC at RMS accuracy epsilon.
-
-    The fixed level L is the smallest one whose extrapolated bias clears
-    eps/sqrt(2); the sample count is the usual 2 Var[P] eps^-2. Var[P] is
-    taken from the finest measured level, where P_l has essentially
-    converged to P.
-    """
-    from .mlmc import bias_remainder
-
-    target = epsilon / math.sqrt(2.0)
-    coefficient = bias_remainder(stats, alpha, 0)
-    if coefficient <= 0.0:
-        level = 1
-    else:
-        level = max(1, math.ceil(math.log2(coefficient / target) / alpha))
-    finest = max(stats, key=lambda s: s.level)
-    n_std = math.ceil(2.0 * finest.var_p / (epsilon * epsilon))
-    return float(n_std) * 2.0**level
-
-
-def cost_comparison(
-    model: DecisionModel,
-    epsilons: Sequence[float],
-    stream: RandomStream,
-    threads: int = 1,
-) -> list[ComparisonRow]:
-    """Run the adaptive driver at each target and compare its measured cost
-    with the modeled standard-MC cost.
-
-    Costs are from a single driver run per target (no replication); the
-    standard-MC side is modeled, never executed, since at small targets it
-    is exactly the cost the multilevel construction avoids.
-    """
-    from .mlmc import MlmcConfig, mlmc_run
-
-    eps = [float(e) for e in epsilons]
-    if not eps:
-        raise ValueError("need at least one accuracy target")
-    if any(not math.isfinite(e) or e <= 0.0 for e in eps):
-        raise ValueError("accuracy targets must be positive")
-    if any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ValueError("accuracy targets must be strictly descending")
-    rows = []
-    for k, epsilon in enumerate(eps):
-        config = MlmcConfig(epsilon=epsilon, warmup_samples=_COMPARISON_WARMUP)
-        result = mlmc_run(model, config, stream.split(k), threads=threads)
-        std_cost = _standard_cost_model(result.level_stats, result.fitted_alpha, epsilon)
-        rows.append(
-            ComparisonRow(
-                epsilon=epsilon,
-                mlmc_cost=float(result.total_cost),
-                std_cost_model=std_cost,
-                ratio=std_cost / float(result.total_cost),
-            )
-        )
-    return rows
-
-
 def projected_costs(
     stats: Sequence[LevelStats],
     epsilon: float,
-    warmup_samples: int = _COMPARISON_WARMUP,
+    warmup_samples: int = COMPARISON_WARMUP,
 ) -> ComparisonRow:
     """Model both costs at a target accuracy from measured level statistics,
     without running the driver.
@@ -278,21 +234,13 @@ def projected_costs(
     decay at the fitted beta. Useful where executing the run is itself too
     expensive.
     """
-    from .mlmc import bias_remainder
-
     if epsilon <= 0.0 or not math.isfinite(epsilon):
         raise ValueError("the accuracy target must be positive")
     measured = sorted((s for s in stats if s.level >= 1), key=lambda s: s.level)
     if not measured:
         raise InsufficientDataError("cost projection needs statistics for levels >= 1")
     rates = fit_rates(stats, min_level=2)
-    alpha = max(0.5, rates.alpha)
-    target = epsilon / math.sqrt(2.0)
-    coefficient = bias_remainder(measured, alpha, 0)
-    if coefficient <= 0.0:
-        cutoff = 1
-    else:
-        cutoff = max(1, math.ceil(math.log2(coefficient / target) / alpha))
+    cutoff, std_cost = standard_cost(measured, max(0.5, rates.alpha), epsilon)
 
     by_level = {s.level: s.var_z for s in measured}
     top = measured[-1]
@@ -309,76 +257,9 @@ def projected_costs(
         max(warmup_samples, math.ceil(scale * math.sqrt(variance_at(l) / 2.0**l))) * 2.0**l
         for l in levels
     )
-    std_cost = float(math.ceil(2.0 * top.var_p / (epsilon * epsilon))) * 2.0**cutoff
     return ComparisonRow(
         epsilon=float(epsilon),
         mlmc_cost=mlmc_cost,
         std_cost_model=std_cost,
         ratio=std_cost / mlmc_cost,
-    )
-
-
-@dataclass(frozen=True)
-class EvppiReport:
-    """EVPI, the partial-information gap, and their difference EVPPI.
-
-    ``evppi`` is computed as ``evpi - difference``, so that identity holds
-    exactly in the report. RMS errors for the multilevel quantities combine
-    the estimator variance with the bias remainder estimate.
-    """
-
-    evpi: float
-    evpi_std_error: float
-    difference: float
-    difference_rms_error: float
-    evppi: float
-    evppi_rms_error: float
-    epsilon: float
-    n_evpi: int
-    converged: bool
-    evpi_estimate: Estimate
-    mlmc_result: "MlmcResult"  # noqa: F821 (runtime type lives in .mlmc)
-
-
-def evppi_report(
-    model: DecisionModel,
-    partition: Sequence[int] | None,
-    epsilon: float,
-    n_evpi: int,
-    stream: RandomStream,
-    threads: int = 1,
-) -> EvppiReport:
-    """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
-    on independent substreams, and report both with EVPPI = EVPI - gap.
-
-    ``partition`` selects the observed (outer) variables for models with a
-    configurable partition; pass None to keep the model's own.
-    """
-    from .mlmc import MlmcConfig, mlmc_run
-
-    if partition is not None:
-        if isinstance(model, BkocModel):
-            outer = tuple(int(i) for i in partition)
-            model = BkocModel(dataclasses.replace(model.spec, outer_indices=outer))
-        else:
-            raise ConfigError(f"model {model.name!r} has a fixed partition")
-    if n_evpi < 2:
-        raise ValueError("the EVPI estimate needs at least two samples")
-    evpi_estimate = evpi_mc(model, int(n_evpi), stream.split(0), threads=threads)
-    result = mlmc_run(model, MlmcConfig(epsilon=float(epsilon)), stream.split(1), threads=threads)
-    bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
-    difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
-    evppi_rms = math.sqrt(evpi_estimate.std_error**2 + difference_rms**2)
-    return EvppiReport(
-        evpi=evpi_estimate.value,
-        evpi_std_error=evpi_estimate.std_error,
-        difference=result.estimate,
-        difference_rms_error=difference_rms,
-        evppi=evpi_estimate.value - result.estimate,
-        evppi_rms_error=evppi_rms,
-        epsilon=float(epsilon),
-        n_evpi=int(n_evpi),
-        converged=result.converged,
-        evpi_estimate=evpi_estimate,
-        mlmc_result=result,
     )

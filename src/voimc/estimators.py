@@ -37,30 +37,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .models import DecisionModel
-from .moments import CompensatedSum, MomentAccumulator
+from .moments import MomentAccumulator
 from .streams import RandomStream
 
 # Block sizing: roughly this many payoff values per block keeps peak memory
 # modest while amortizing vectorization overhead. Block boundaries depend only
-# on the model's dimensions and the level, never on worker count.
+# on the model's dimensions and the inner count, never on worker count.
 _BLOCK_VALUE_BUDGET = 1 << 20
 _MAX_BLOCK_OUTER = 1 << 18
-
-
-@dataclass(frozen=True)
-class LevelSample:
-    """One draw of the level-l correction: the antithetic difference ``z``,
-    the fine-level gap estimate ``p_fine`` from the same draws, and the cost
-    in inner samples."""
-
-    z: float
-    p_fine: float
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -71,16 +59,6 @@ class Estimate:
     std_error: float
     n: int
     cost: float
-
-
-def argmax_decision(values: Sequence[float]) -> int:
-    """1-based index of the largest entry; ties go to the smallest index."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("argmax_decision expects a non-empty 1-d sequence")
-    if np.isnan(v).any():
-        raise ValueError("argmax_decision got NaN payoff values")
-    return int(np.argmax(v)) + 1
 
 
 def antithetic_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,24 +79,32 @@ def antithetic_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _payoffs_with_best(
-    model: DecisionModel, level: int, n: int, stream: RandomStream
+    model: DecisionModel, m: int, n: int, stream: RandomStream
 ) -> np.ndarray:
-    """Payoff block of shape (n, 2^level, D+1); the last column holds the
-    pathwise best payoff so one reduction call covers every column."""
-    m = 1 << level
+    """Payoff block of shape (m, n, D+1), inner index first; the last column
+    holds the pathwise best payoff so one reduction call covers every column.
+
+    With the inner index outermost, a sum over axis 0 adds whole rows in draw
+    order, one vectorized pass per inner draw."""
     x = model.sample_outer(stream, n)
-    y = model.sample_inner(x, stream, m)
-    f = model.payoffs(x, y)
-    return np.concatenate([f, f.max(axis=2, keepdims=True)], axis=2)
+    f = model.payoffs(x, model.sample_inner(x, stream, m))
+    d = f.shape[2]
+    g = np.empty((m, n, d + 1))
+    g[:, :, :d] = f.transpose(1, 0, 2)
+    best = g[:, :, d]
+    best[...] = g[:, :, 0]
+    for k in range(1, d):
+        np.maximum(best, g[:, :, k], out=best)
+    return g
 
 
-def _level_block(model: DecisionModel, level: int, n: int, stream: RandomStream):
-    """One block of level-l draws: returns (z, p_fine) arrays of length n."""
-    m = 1 << level
+def _level_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
+    """One block of level draws with m = 2^level inner samples: returns
+    (z, p_fine) arrays of length n."""
     half = m // 2
-    g = _payoffs_with_best(model, level, n, stream)
-    ga = g[:, :half, :].sum(axis=1)
-    gb = g[:, half:, :].sum(axis=1)
+    g = _payoffs_with_best(model, m, n, stream)
+    ga = g[:half].sum(axis=0)
+    gb = g[half:].sum(axis=0)
     sums = ga + gb
     full_best = sums[:, :-1].max(axis=1) / m
     z = 0.5 * (ga[:, :-1].max(axis=1) / half + gb[:, :-1].max(axis=1) / half) - full_best
@@ -126,45 +112,50 @@ def _level_block(model: DecisionModel, level: int, n: int, stream: RandomStream)
     return z, p
 
 
-def _p_block(model: DecisionModel, level: int, n: int, stream: RandomStream) -> np.ndarray:
-    """One block of level-l gap draws P_l; level 0 gives exact zeros."""
-    m = 1 << level
-    sums = _payoffs_with_best(model, level, n, stream).sum(axis=1)
+def _p_block(model: DecisionModel, m: int, n: int, stream: RandomStream) -> np.ndarray:
+    """One block of gap draws over m inner samples; m = 1 gives exact zeros."""
+    sums = _payoffs_with_best(model, m, n, stream).sum(axis=0)
     return sums[:, -1] / m - sums[:, :-1].max(axis=1) / m
 
 
-def _block_plan(model: DecisionModel, level: int, n: int, first_block: int):
-    """Split n draws into (block_index, size) chunks of deterministic size."""
-    m = 1 << level
+def _best_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
+    """One block of joint draws (m = 1): the pathwise best payoffs, and the
+    per-decision payoff sums."""
+    g = _payoffs_with_best(model, m, n, stream)[0]
+    return g[:, -1], g[:, :-1].sum(axis=0)
+
+
+def _map_blocks(
+    kernel,
+    model: DecisionModel,
+    m: int,
+    n: int,
+    stream: RandomStream,
+    threads: int = 1,
+    first_block: int = 0,
+):
+    """Yield ``kernel(model, m, size, stream.split(block_index))`` for each
+    block of n outer draws with m inner draws each, in block order whatever
+    the worker count. Block sizes depend only on the model's dimensions and
+    m; block indices count up from ``first_block``."""
     width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    return _plan_sizes(width, n, first_block)
-
-
-def _plan_sizes(width: int, n: int, first_block: int):
     size = max(1, min(_BLOCK_VALUE_BUDGET // width, _MAX_BLOCK_OUTER))
-    plan = []
-    idx = first_block
-    left = int(n)
-    while left > 0:
-        take = min(size, left)
-        plan.append((idx, take))
-        idx += 1
-        left -= take
-    return plan
+    plan = [
+        (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
+    ]
 
+    def run(item):
+        idx, block_size = item
+        return kernel(model, m, block_size, stream.split(idx))
 
-def _run_blocks(worker: Callable, plan, threads: int, consume: Callable) -> None:
-    """Run block workers, feeding results to ``consume`` in block order."""
     if threads <= 1 or len(plan) <= 1:
-        for item in plan:
-            consume(worker(item))
+        yield from map(run, plan)
         return
     # Waves bound how many finished blocks wait in memory at once.
     wave = threads * 2
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for i in range(0, len(plan), wave):
-            for result in pool.map(worker, plan[i : i + wave]):
-                consume(result)
+            yield from pool.map(run, plan[i : i + wave])
 
 
 def accumulate_level(
@@ -183,21 +174,11 @@ def accumulate_level(
     deterministic sequence."""
     if level < 1:
         raise ValueError("the level correction is defined for levels >= 1")
-    if n <= 0:
-        return first_block
-    plan = _block_plan(model, level, n, first_block)
-
-    def worker(item):
-        idx, size = item
-        return _level_block(model, level, size, stream.split(idx))
-
-    def consume(result):
-        z, p = result
+    for z, p in _map_blocks(_level_block, model, 1 << level, n, stream, threads, first_block):
         acc_z.add_block(z)
         acc_p.add_block(p)
-
-    _run_blocks(worker, plan, threads, consume)
-    return plan[-1][0] + 1
+        first_block += 1
+    return first_block
 
 
 def accumulate_p_level(
@@ -212,16 +193,10 @@ def accumulate_p_level(
     """Fold n fresh draws of P_l into ``acc_p`` (level 0 allowed)."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    if n <= 0:
-        return first_block
-    plan = _block_plan(model, level, n, first_block)
-
-    def worker(item):
-        idx, size = item
-        return _p_block(model, level, size, stream.split(idx))
-
-    _run_blocks(worker, plan, threads, acc_p.add_block)
-    return plan[-1][0] + 1
+    for p in _map_blocks(_p_block, model, 1 << level, n, stream, threads, first_block):
+        acc_p.add_block(p)
+        first_block += 1
+    return first_block
 
 
 def sample_level_batch(
@@ -238,35 +213,8 @@ def sample_level_batch(
         raise ValueError("the level correction is defined for levels >= 1")
     if n <= 0:
         return np.empty(0), np.empty(0)
-    plan = _block_plan(model, level, n, first_block)
-    zs: list[np.ndarray] = []
-    ps: list[np.ndarray] = []
-
-    def worker(item):
-        idx, size = item
-        return _level_block(model, level, size, stream.split(idx))
-
-    def consume(result):
-        zs.append(result[0])
-        ps.append(result[1])
-
-    _run_blocks(worker, plan, threads, consume)
+    zs, ps = zip(*_map_blocks(_level_block, model, 1 << level, n, stream, threads, first_block))
     return np.concatenate(zs), np.concatenate(ps)
-
-
-def p_level(model: DecisionModel, level: int, stream: RandomStream) -> float:
-    """One draw of P_l from the given stream (level 0 gives exactly 0)."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    return float(_p_block(model, level, 1, stream)[0])
-
-
-def z_level(model: DecisionModel, level: int, stream: RandomStream) -> LevelSample:
-    """One draw of the level-l correction from the given stream."""
-    if level < 1:
-        raise ValueError("the level correction is defined for levels >= 1")
-    z, p = _level_block(model, level, 1, stream)
-    return LevelSample(z=float(z[0]), p_fine=float(p[0]), cost=float(1 << level))
 
 
 def evpi_mc(model: DecisionModel, n: int, stream: RandomStream, threads: int = 1) -> Estimate:
@@ -279,25 +227,12 @@ def evpi_mc(model: DecisionModel, n: int, stream: RandomStream, threads: int = 1
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    width = model.decision_count + 1 + max(model.inner_dim, 1)
-    plan = _plan_sizes(width, n, 0)
-
     acc_best = MomentAccumulator()
-    mean_sums = [CompensatedSum() for _ in range(model.decision_count)]
-
-    def worker(item):
-        idx, size = item
-        g = _payoffs_with_best(model, 0, size, stream.split(idx))[:, 0, :]
-        return g[:, -1], g[:, :-1].sum(axis=0)
-
-    def consume(result):
-        best, sums = result
+    block_sums = []
+    for best, sums in _map_blocks(_best_block, model, 1, n, stream, threads):
         acc_best.add_block(best)
-        for d in range(model.decision_count):
-            mean_sums[d].add(float(sums[d]))
-
-    _run_blocks(worker, plan, threads, consume)
-    best_of_means = max(s.value / n for s in mean_sums)
+        block_sums.append(sums)
+    best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
     value = acc_best.mean - best_of_means
     std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
     return Estimate(value=value, std_error=std_error, n=int(n), cost=float(n))
@@ -319,22 +254,9 @@ def nested_mc(
     if n_outer <= 0 or n_inner <= 0:
         raise ValueError("sample counts must be positive")
     m = int(n_inner)
-    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    plan = _plan_sizes(width, n_outer, 0)
-
     acc = MomentAccumulator()
-
-    def worker(item):
-        idx, size = item
-        sub = stream.split(idx)
-        x = model.sample_outer(sub, size)
-        y = model.sample_inner(x, sub, m)
-        f = model.payoffs(x, y)
-        g = np.concatenate([f, f.max(axis=2, keepdims=True)], axis=2)
-        sums = g.sum(axis=1)
-        return sums[:, -1] / m - sums[:, :-1].max(axis=1) / m
-
-    _run_blocks(worker, plan, threads, acc.add_block)
+    for p in _map_blocks(_p_block, model, m, n_outer, stream, threads):
+        acc.add_block(p)
     std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
     return Estimate(
         value=acc.mean, std_error=std_error, n=int(n_outer), cost=float(n_outer) * float(m)

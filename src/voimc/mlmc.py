@@ -12,18 +12,32 @@ allocation is satisfied under the current variance estimates is the bias
 remainder tested, and a failing test appends one finer level with warm-up
 draws. Sampling inside a level fans out over block substreams, so the whole
 run is reproducible bit for bit from (model, config, seed).
+
+The two reports that run the driver live here too: the multilevel cost
+against the modeled standard-MC cost over several targets
+(cost_comparison), and the EVPI / EVPPI summary for one partition
+(evppi_report).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagnostics import LevelStats, fit_rates, stats_from_accumulators
+from .diagnostics import (
+    COMPARISON_WARMUP,
+    ComparisonRow,
+    LevelStats,
+    bias_remainder,
+    fit_rates,
+    standard_cost,
+    stats_from_accumulators,
+)
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level
-from .models import DecisionModel
+from .estimators import Estimate, accumulate_level, evpi_mc
+from .models import BkocModel, DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
 
@@ -88,31 +102,6 @@ class MlmcResult:
     history: tuple[dict, ...]
 
 
-def warmup(
-    model: DecisionModel,
-    levels: Sequence[int],
-    n0: int,
-    stream: RandomStream,
-    threads: int = 1,
-) -> list[LevelStats]:
-    """Draw n0 level samples at each requested level and return their stats.
-
-    Level l draws from substream ``stream.split(l)``, the same layout the
-    driver uses, so a warm-up is reproducible inside and outside a run.
-    """
-    if n0 < 100:
-        raise ValueError("warm-up needs at least 100 draws per level")
-    out = []
-    for level in levels:
-        if level < 1:
-            raise ValueError("warm-up levels start at 1")
-        acc_z = MomentAccumulator()
-        acc_p = MomentAccumulator()
-        accumulate_level(model, level, int(n0), stream.split(level), acc_z, acc_p, threads=threads)
-        out.append(stats_from_accumulators(level, acc_z, acc_p))
-    return out
-
-
 def optimal_allocation(
     stats: Sequence[LevelStats], epsilon: float, min_allocation: int = 10_000
 ) -> tuple[list[int], bool]:
@@ -139,21 +128,6 @@ def optimal_allocation(
     scale = 2.0 / (epsilon * epsilon) * root_vc
     counts = [int(math.ceil(scale * math.sqrt(v / c))) for v, c in zip(variances, costs)]
     return counts, False
-
-
-def bias_remainder(stats: Sequence[LevelStats], alpha: float, at_level: int) -> float:
-    """Extrapolated |E[P - P_L]| at L = ``at_level``: geometric tail of the
-    level means at decay rate alpha, anchored on the last three measured
-    levels and taking their maximum for robustness to one noisy mean."""
-    if not stats:
-        raise ValueError("remainder extrapolation needs level statistics")
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be positive")
-    ordered = sorted(stats, key=lambda s: s.level)
-    denom = 2.0**alpha - 1.0
-    return max(
-        abs(s.mean_z) * 2.0 ** (alpha * (s.level - at_level)) / denom for s in ordered[-3:]
-    )
 
 
 def bias_converged(
@@ -325,4 +299,105 @@ def mlmc_run(
         bias_estimate=float(remainder),
         warnings=tuple(warnings),
         history=tuple(history),
+    )
+
+
+def cost_comparison(
+    model: DecisionModel,
+    epsilons: Sequence[float],
+    stream: RandomStream,
+    threads: int = 1,
+) -> list[ComparisonRow]:
+    """Run the adaptive driver at each target and compare its measured cost
+    with the modeled standard-MC cost.
+
+    Costs are from a single driver run per target (no replication); the
+    standard-MC side is modeled, never executed, since at small targets it
+    is exactly the cost the multilevel construction avoids.
+    """
+    eps = [float(e) for e in epsilons]
+    if not eps:
+        raise ConfigError("need at least one accuracy target")
+    if any(not math.isfinite(e) or e <= 0.0 for e in eps):
+        raise ConfigError("accuracy targets must be positive")
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ConfigError("accuracy targets must be strictly descending")
+    rows = []
+    for k, epsilon in enumerate(eps):
+        config = MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP)
+        result = mlmc_run(model, config, stream.split(k), threads=threads)
+        _, std_cost = standard_cost(result.level_stats, result.fitted_alpha, epsilon)
+        rows.append(
+            ComparisonRow(
+                epsilon=epsilon,
+                mlmc_cost=float(result.total_cost),
+                std_cost_model=std_cost,
+                ratio=std_cost / float(result.total_cost),
+            )
+        )
+    return rows
+
+
+@dataclass(frozen=True)
+class EvppiReport:
+    """EVPI, the partial-information gap, and their difference EVPPI.
+
+    ``evppi`` is computed as ``evpi - difference``, so that identity holds
+    exactly in the report. RMS errors for the multilevel quantities combine
+    the estimator variance with the bias remainder estimate.
+    """
+
+    evpi: float
+    evpi_std_error: float
+    difference: float
+    difference_rms_error: float
+    evppi: float
+    evppi_rms_error: float
+    epsilon: float
+    n_evpi: int
+    converged: bool
+    evpi_estimate: Estimate
+    mlmc_result: MlmcResult
+
+
+def evppi_report(
+    model: DecisionModel,
+    partition: Sequence[int] | None,
+    epsilon: float,
+    n_evpi: int,
+    stream: RandomStream,
+    threads: int = 1,
+) -> EvppiReport:
+    """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
+    on independent substreams, and report both with EVPPI = EVPI - gap.
+
+    ``partition`` selects the observed (outer) variables for models with a
+    configurable partition; pass None to keep the model's own.
+    """
+    if partition is not None:
+        if isinstance(model, BkocModel):
+            outer = tuple(int(i) for i in partition)
+            model = BkocModel(dataclasses.replace(model.spec, outer_indices=outer))
+        else:
+            raise ConfigError(f"model {model.name!r} has a fixed partition")
+    if n_evpi < 2:
+        raise ConfigError("the EVPI estimate needs at least two samples")
+    config = MlmcConfig(epsilon=float(epsilon))
+    evpi_estimate = evpi_mc(model, int(n_evpi), stream.split(0), threads=threads)
+    result = mlmc_run(model, config, stream.split(1), threads=threads)
+    bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
+    difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
+    evppi_rms = math.sqrt(evpi_estimate.std_error**2 + difference_rms**2)
+    return EvppiReport(
+        evpi=evpi_estimate.value,
+        evpi_std_error=evpi_estimate.std_error,
+        difference=result.estimate,
+        difference_rms_error=difference_rms,
+        evppi=evpi_estimate.value - result.estimate,
+        evppi_rms_error=evppi_rms,
+        epsilon=float(epsilon),
+        n_evpi=int(n_evpi),
+        converged=result.converged,
+        evpi_estimate=evpi_estimate,
+        mlmc_result=result,
     )

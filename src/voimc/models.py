@@ -308,8 +308,6 @@ class BkocModel(DecisionModel):
         )
         self.outer_dim = int(outer0.size)
         self.inner_dim = int(inner0.size)
-        self._outer0 = outer0
-        self._inner0 = inner0
         self._mu_outer = mu[outer0]
         self._chol_outer = np.linalg.cholesky(cov[np.ix_(outer0, outer0)])
 
@@ -331,6 +329,15 @@ class BkocModel(DecisionModel):
         # Per term: positions of its factors in the outer vector vs the inner block.
         outer_pos = {int(g): p for p, g in enumerate(outer0)}
         inner_pos = {int(g): p for p, g in enumerate(inner0)}
+        # Per term and factor, in product order: (outer position, None) or
+        # (None, inner position).
+        self._factor_columns = tuple(
+            tuple(
+                (coef, tuple((outer_pos.get(g), inner_pos.get(g)) for g in idx))
+                for coef, idx in terms
+            )
+            for terms in self._terms
+        )
         self._cond_terms = tuple(
             tuple(
                 (
@@ -363,18 +370,22 @@ class BkocModel(DecisionModel):
         return self._cond_cov.copy()
 
     def payoffs(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        outer = np.asarray(outer)
         n, m = inner.shape[0], inner.shape[1]
-        vals = np.empty((n, m, _N_VARS))
-        vals[:, :, self._outer0] = np.asarray(outer)[:, None, :]
-        vals[:, :, self._inner0] = inner
+
+        def column(p, q):
+            return outer[:, p, None] if q is None else inner[:, :, q]
+
         f = np.empty((n, m, 2))
-        for d, terms in enumerate(self._terms):
+        for d, terms in enumerate(self._factor_columns):
             total = np.zeros((n, m))
-            for coef, idx in terms:
-                prod = vals[:, :, idx[0]].copy()
-                for k in idx[1:]:
-                    prod *= vals[:, :, k]
-                total += coef * prod
+            for coef, factors in terms:
+                prod = np.empty((n, m))
+                prod[...] = column(*factors[0])
+                for p, q in factors[1:]:
+                    prod *= column(p, q)
+                prod *= coef
+                total += prod
             f[:, :, d] = total
         return f
 

@@ -86,18 +86,3 @@ class MomentAccumulator:
             return math.nan
         return self.n * self.m4 / (self.m2 * self.m2)
 
-
-class CompensatedSum:
-    """Kahan-compensated running sum for scalar streams."""
-
-    __slots__ = ("value", "_carry")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._carry = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._carry
-        t = self.value + y
-        self._carry = (t - self.value) - y
-        self.value = t

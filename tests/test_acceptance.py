@@ -18,24 +18,22 @@ import pytest
 
 from voimc import (
     BkocModel,
-    GaussianModelSpec,
-    MlmcConfig,
     MomentAccumulator,
     RandomStream,
-    accumulate_p_level,
-    antithetic_terms,
-    cost_comparison,
-    evpi_mc,
-    fit_rates,
-    level_sweep,
-    mlmc_run,
-    nested_mc,
-    projected_costs,
-    sample_level_batch,
     synthetic1,
     synthetic2,
     synthetic3,
 )
+from voimc.diagnostics import fit_rates, level_sweep, projected_costs
+from voimc.estimators import (
+    accumulate_p_level,
+    antithetic_terms,
+    evpi_mc,
+    nested_mc,
+    sample_level_batch,
+)
+from voimc.mlmc import MlmcConfig, cost_comparison, mlmc_run
+from voimc.models import GaussianModelSpec
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, file formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -44,6 +45,12 @@ def test_config_errors_exit_3(tmp_path, capsys):
         ["run", "--model", "bkoc", "--outer", "1,x", "--epsilon", "0.1"],
         ["levels", "--model", "synthetic1", "--max-level", "0"],
         ["compare", "--model", "synthetic1"],  # no epsilon list
+        ["levels", "--model", "synthetic1", "--n", "500"],
+        ["compare", "--model", "synthetic1", "--epsilon", "-1"],
+        ["evppi", "--model", "synthetic1", "--epsilon", "0.1", "--n", "1"],
+        ["evppi", "--model", "synthetic1", "--epsilon", "-1"],
+        ["run", "--model", "synthetic1", "--epsilon", "0.1", "--threads", "0"],
+        ["run", "--model", "synthetic1", "--epsilon", "0.1", "--threads", "-3"],
     ]
     for argv in cases:
         code, _ = run_cli(tmp_path, *argv)
@@ -275,3 +282,59 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert (tmp_path / "sweep.csv").exists()
     assert "levels synthetic1" in proc.stdout
+
+
+# sha256 of the output file and the summary line (output path removed) for
+# fixed invocations. Any change to the draws, the arithmetic or the
+# serialization shows up here. The digests hold for one numpy/scipy build,
+# since vectorized float reductions may round differently on another.
+RUN = ["run", "--model", "synthetic1", "--epsilon", "0.01", "--seed", "3"]
+LEVELS = ["levels", "--model", "synthetic2", "--max-level", "6", "--n", "2000", "--seed", "1"]
+PINNED_OUTPUTS = [
+    pytest.param(
+        [*RUN, "--format", "json"],
+        "e3842e0182936b8e487f459f9899ba2c0de6e071c09aad7d9d02b60b3c343a6d",
+        "run synthetic1 epsilon=0.01 estimate=0.158522 converged levels=1..5 cost=620000",
+        id="run-json",
+    ),
+    pytest.param(
+        [*RUN, "--format", "csv"],
+        "378edf48b98c2ee9d12f96d06dec1e6f21c9c1c3001321a885764aa0c8db87af",
+        "run synthetic1 epsilon=0.01 estimate=0.158522 converged levels=1..5 cost=620000",
+        id="run-csv",
+    ),
+    pytest.param(
+        [*LEVELS, "--format", "csv"],
+        "9229f24360483eae6b5abff767fe446a50e3acec196f2cb1cc6ebc8337873f64",
+        "levels synthetic2 n=2000 levels=0..6 alpha=0.635 beta=1.109",
+        id="levels-csv",
+    ),
+    pytest.param(
+        [*LEVELS, "--format", "json"],
+        "5f5b0672a1ef7f1226cd75473ee3f7beef0235b9469dabfe447158088979dc39",
+        "levels synthetic2 n=2000 levels=0..6 alpha=0.635 beta=1.109",
+        id="levels-json",
+    ),
+    pytest.param(
+        ["compare", "--model", "synthetic1", "--epsilon", "0.05", "--epsilon", "0.02",
+         "--seed", "2"],
+        "221123303a94cb294b1de8d7d8d6cd5349308f59e871dc6c3d2e48de37ddd74d",
+        "compare synthetic1 targets=2 ratio=0.0213..0.131",
+        id="compare-csv",
+    ),
+    pytest.param(
+        ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "20000",
+         "--seed", "1", "--threads", "2"],
+        "c0934b755e667edc65206154cdb7f43ab248b92347be8a46759e6b0473761ea4",
+        "evppi bkoc evpi=1454.57 difference=582.425 evppi=872.145",
+        id="evppi-json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest,summary", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, digest, summary):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out == f"{summary} -> {out}\n"

@@ -9,20 +9,20 @@ from voimc import (
     BkocModel,
     ConfigError,
     InsufficientDataError,
-    LevelStats,
+    MomentAccumulator,
     RandomStream,
-    bias_remainder,
-    cost_comparison,
-    evppi_report,
-    fit_rates,
-    level_stats,
-    level_sweep,
-    projected_costs,
-    stats_from_accumulators,
     synthetic1,
     synthetic3,
 )
-from voimc.moments import MomentAccumulator
+from voimc.diagnostics import (
+    LevelStats,
+    bias_remainder,
+    fit_rates,
+    level_sweep,
+    projected_costs,
+    stats_from_accumulators,
+)
+from voimc.mlmc import MlmcConfig, cost_comparison, evppi_report, mlmc_run
 
 
 def planted_stats(alpha=0.9, beta=1.3, levels=range(1, 7), var_p=1.0, n=100_000):
@@ -41,21 +41,22 @@ def planted_stats(alpha=0.9, beta=1.3, levels=range(1, 7), var_p=1.0, n=100_000)
     ]
 
 
+def stats_from_draws(z_values, p_values, level):
+    """A LevelStats row from raw (Z_l, P_l) draws, as the sampling code builds it."""
+    acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+    acc_z.add_block(np.asarray(z_values, dtype=np.float64))
+    acc_p.add_block(np.asarray(p_values, dtype=np.float64))
+    return stats_from_accumulators(level, acc_z, acc_p)
+
+
 def test_level_stats_known_values():
-    s = level_stats([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0], level=2)
+    s = stats_from_draws([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0], level=2)
     assert s.n == 4
     assert s.mean_z == 0.0
     assert s.var_z == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert s.kurtosis_z == pytest.approx(1.0, rel=1e-15)
     assert s.var_p == 0.0
     assert s.cost_per_sample == 4
-
-
-def test_level_stats_validation():
-    with pytest.raises(ValueError):
-        level_stats([1.0, 2.0], [0.0], level=1)
-    with pytest.raises(ValueError):
-        level_stats([1.0], [0.0], level=1)
 
 
 def test_stats_from_accumulators_requires_matching_counts():
@@ -68,19 +69,19 @@ def test_stats_from_accumulators_requires_matching_counts():
 
 def test_gaussian_kurtosis_reference():
     z = RandomStream(12).normals(1_000_000)
-    s = level_stats(z, np.zeros_like(z), level=1)
+    s = stats_from_draws(z, np.zeros_like(z), level=1)
     assert s.kurtosis_z == pytest.approx(3.0, abs=0.1)
 
 
 def test_kurtosis_is_affine_invariant():
     z = RandomStream(14).normals(10_000)
-    base = level_stats(z, np.zeros_like(z), level=1).kurtosis_z
-    moved = level_stats(250.0 * z - 3.0, np.zeros_like(z), level=1).kurtosis_z
+    base = stats_from_draws(z, np.zeros_like(z), level=1).kurtosis_z
+    moved = stats_from_draws(250.0 * z - 3.0, np.zeros_like(z), level=1).kurtosis_z
     assert moved == pytest.approx(base, rel=1e-9)
 
 
 def test_constant_draws_have_nan_kurtosis():
-    s = level_stats(np.full(100, 2.5), np.zeros(100), level=1)
+    s = stats_from_draws(np.full(100, 2.5), np.zeros(100), level=1)
     assert s.var_z == 0.0
     assert math.isnan(s.kurtosis_z)
 
@@ -202,8 +203,6 @@ def test_projected_costs_validation():
 
 def test_projected_matches_executed_run():
     # the projection should land near the driver's actual spend at the same target
-    from voimc import MlmcConfig, mlmc_run
-
     result = mlmc_run(
         synthetic1(), MlmcConfig(epsilon=0.005, warmup_samples=300), RandomStream(5)
     )

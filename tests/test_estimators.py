@@ -6,24 +6,24 @@ import numpy as np
 import pytest
 
 from voimc import (
-    AssumptionClass,
     BkocModel,
     MomentAccumulator,
     RandomStream,
     SyntheticModel,
-    accumulate_level,
-    accumulate_p_level,
-    antithetic_terms,
-    argmax_decision,
-    evpi_mc,
-    nested_mc,
-    p_level,
-    sample_level_batch,
     synthetic1,
     synthetic2,
     synthetic3,
-    z_level,
 )
+from voimc.diagnostics import stats_from_accumulators
+from voimc.estimators import (
+    accumulate_level,
+    accumulate_p_level,
+    antithetic_terms,
+    evpi_mc,
+    nested_mc,
+    sample_level_batch,
+)
+from voimc.models import AssumptionClass
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
 MODEL_IDS = [m.name for m in ALL_MODELS]
@@ -51,16 +51,6 @@ def replay_payoffs(model, level, n, stream):
     return model.payoffs(x, y)
 
 
-def test_argmax_decision():
-    assert argmax_decision([1.0, 3.0, 2.0]) == 2
-    assert argmax_decision([5.0, 5.0]) == 1
-    assert argmax_decision([-1.0]) == 1
-    with pytest.raises(ValueError):
-        argmax_decision([])
-    with pytest.raises(ValueError):
-        argmax_decision([1.0, math.nan])
-
-
 def test_antithetic_terms_exact_identity():
     f = np.random.default_rng(0).normal(size=(500, 8, 3)) * 100.0
     mean_a, mean_b, mean_full = antithetic_terms(f)
@@ -85,18 +75,22 @@ def test_antithetic_terms_odd_m_rejected():
 def test_level_validation():
     m = synthetic1()
     s = RandomStream(0)
+    acc = MomentAccumulator()
     with pytest.raises(ValueError):
-        z_level(m, 0, s)
+        accumulate_level(m, 0, 1, s, acc, acc)
     with pytest.raises(ValueError):
         sample_level_batch(m, 0, 10, s)
     with pytest.raises(ValueError):
-        p_level(m, -1, s)
+        accumulate_p_level(m, -1, 1, s, acc)
 
 
 def test_p_level_zero_is_exactly_zero():
+    # one draw per call, so the accumulated mean is the draw itself
     for model in ALL_MODELS:
         for k in range(20):
-            assert p_level(model, 0, RandomStream(100 + k)) == 0.0
+            acc = MomentAccumulator()
+            accumulate_p_level(model, 0, 1, RandomStream(100 + k), acc)
+            assert acc.mean == 0.0
 
 
 def test_level_one_correction_equals_gap():
@@ -138,12 +132,16 @@ def test_constant_gap_corrections_vanish():
 
 
 def test_z_level_scalar_draw():
-    s = z_level(synthetic1(), 4, RandomStream(9))
-    assert s.cost == 16.0
-    assert s.p_fine >= 0.0
-    assert s.z >= 0.0
-    again = z_level(synthetic1(), 4, RandomStream(9))
-    assert again == s
+    z, p = sample_level_batch(synthetic1(), 4, 1, RandomStream(9))
+    assert z.shape == p.shape == (1,)
+    assert p[0] >= 0.0
+    assert z[0] >= 0.0
+    again = sample_level_batch(synthetic1(), 4, 1, RandomStream(9))
+    assert again[0][0] == z[0] and again[1][0] == p[0]
+    acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+    accumulate_level(synthetic1(), 4, 1, RandomStream(9), acc_z, acc_p)
+    assert (acc_z.mean, acc_p.mean) == (z[0], p[0])
+    assert stats_from_accumulators(4, acc_z, acc_p).cost_per_sample == 16
 
 
 def test_accumulate_matches_batch():

@@ -1,0 +1,55 @@
+"""Package structure: module-level imports only, and no import cycles."""
+
+import ast
+from pathlib import Path
+
+import voimc
+
+PACKAGE = Path(voimc.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def parse(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(), filename=f"{name}.py")
+
+
+def package_imports(tree):
+    """Names of the sibling modules a module imports (``from .x import ...``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update(alias.name for alias in node.names)
+    return found & set(MODULES)
+
+
+def test_no_import_inside_a_function():
+    for name in MODULES:
+        for func in ast.walk(parse(name)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                    f"{name}.py line {node.lineno} imports inside {func.name}()"
+                )
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {name: package_imports(parse(name)) for name in MODULES}
+    done, active = set(), []
+
+    def visit(name):
+        assert name not in active, "import cycle: " + " -> ".join([*active, name])
+        if name in done:
+            return
+        active.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        active.pop()
+        done.add(name)
+
+    for name in MODULES:
+        visit(name)
+    assert "diagnostics" in graph["mlmc"]
+    assert "mlmc" not in graph["diagnostics"]

@@ -6,21 +6,18 @@ import numpy as np
 import pytest
 
 from voimc import (
-    AssumptionClass,
     ConfigError,
     InsufficientDataError,
-    LevelStats,
-    MlmcConfig,
+    MomentAccumulator,
     RandomStream,
     SyntheticModel,
-    bias_converged,
-    bias_remainder,
-    mlmc_run,
-    optimal_allocation,
     synthetic1,
     synthetic2,
-    warmup,
 )
+from voimc.diagnostics import LevelStats, bias_remainder, stats_from_accumulators
+from voimc.estimators import accumulate_level
+from voimc.mlmc import MlmcConfig, bias_converged, mlmc_run, optimal_allocation
+from voimc.models import AssumptionClass
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -129,22 +126,37 @@ def test_bias_validation():
         bias_remainder([], alpha=1.0, at_level=1)
 
 
+def standalone_warmup(model, levels, n0, stream):
+    """The driver's warm-up layout rebuilt outside it: level l draws n0
+    samples from substream ``stream.split(l)``."""
+    stats = []
+    for level in levels:
+        acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+        accumulate_level(model, level, n0, stream.split(level), acc_z, acc_p)
+        stats.append(stats_from_accumulators(level, acc_z, acc_p))
+    return stats
+
+
 def test_warmup_basics():
-    stats = warmup(synthetic1(), [1, 2, 3], 500, RandomStream(77))
+    # a coarse target stops on the warm-up itself: warmup_samples at levels 1..3
+    cfg = MlmcConfig(epsilon=10.0, warmup_samples=500)
+    stats = mlmc_run(synthetic1(), cfg, RandomStream(77)).level_stats
     assert [s.level for s in stats] == [1, 2, 3]
     assert all(s.n == 500 for s in stats)
     assert all(s.cost_per_sample == 2.0**s.level for s in stats)
-    again = warmup(synthetic1(), [1, 2, 3], 500, RandomStream(77))
+    again = mlmc_run(synthetic1(), cfg, RandomStream(77)).level_stats
     assert stats == again
     with pytest.raises(ValueError):
-        warmup(synthetic1(), [1], 50, RandomStream(0))
+        MlmcConfig(epsilon=10.0, warmup_samples=50)
     with pytest.raises(ValueError):
-        warmup(synthetic1(), [0], 500, RandomStream(0))
+        accumulate_level(
+            synthetic1(), 0, 500, RandomStream(0), MomentAccumulator(), MomentAccumulator()
+        )
 
 
 def test_driver_reuses_warmup_layout():
     # the first control-loop pass must see exactly the standalone warm-up stats
-    warm = warmup(synthetic1(), [1, 2, 3], 500, RandomStream(77))
+    warm = standalone_warmup(synthetic1(), [1, 2, 3], 500, RandomStream(77))
     result = mlmc_run(
         synthetic1(), MlmcConfig(epsilon=10.0, warmup_samples=500), RandomStream(77)
     )

@@ -6,23 +6,26 @@ import numpy as np
 import pytest
 
 from voimc import (
-    AssumptionClass,
     BkocModel,
     CapabilityError,
     ConfigError,
     DecisionModel,
-    GaussianModelSpec,
     RandomStream,
-    conditional_mean,
-    load_model_config,
     make_model,
-    payoff,
-    sample_correlated_normals,
     synthetic1,
     synthetic2,
     synthetic3,
 )
-from voimc.models import BKOC_MEANS, BKOC_STD_DEVS
+from voimc.models import (
+    BKOC_MEANS,
+    BKOC_STD_DEVS,
+    AssumptionClass,
+    GaussianModelSpec,
+    conditional_mean,
+    load_model_config,
+    payoff,
+    sample_correlated_normals,
+)
 
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from voimc import CompensatedSum, MomentAccumulator
+from voimc import MomentAccumulator
 
 
 def reference_kurtosis(x):
@@ -104,21 +104,3 @@ def test_same_block_order_is_deterministic():
         return acc.mean, acc.variance(), acc.kurtosis()
     assert run() == run()
 
-
-def test_compensated_sum_tracks_fsum():
-    rng = np.random.default_rng(5)
-    values = list(rng.normal(size=10_000) * rng.lognormal(0, 4, size=10_000))
-    c = CompensatedSum()
-    for v in values:
-        c.add(v)
-    exact = math.fsum(values)
-    assert c.value == pytest.approx(exact, rel=1e-15, abs=1e-300)
-
-
-def test_compensated_sum_recovers_lost_increments():
-    # naive accumulation would stay at exactly 1.0: 1.0 + 1e-17 == 1.0
-    c = CompensatedSum()
-    c.add(1.0)
-    for _ in range(100_000):
-        c.add(1e-17)
-    assert c.value == pytest.approx(1.0 + 1e-12, rel=1e-9)

@@ -20,12 +20,22 @@ telescopes to the target.
 The kernels keep two bitwise invariants, not just approximate ones:
 
 * P_l >= 0 and p_fine >= 0 for every draw. The pathwise best payoff is
-  appended as an extra column before the inner-axis reduction, so every
-  column is summed by the identical reduction tree and floating-point
-  monotonicity carries the ordering through to the averages.
+  stored as an extra decision plane of the block buffer before the
+  inner-axis reduction, so every plane is summed by the identical reduction
+  tree and floating-point monotonicity carries the ordering through to the
+  averages.
 * Z_l == 0.0 whenever the three argmax decisions agree, because the half
   averages are formed from half sums and recombined by exact power-of-two
   scalings.
+
+A block is one (m, D+1, n) buffer: inner draw, decision plane, outer draw.
+The models write their payoffs straight into the first D planes. The inner
+axis is always reduced as the outermost axis of that buffer, so numpy adds
+whole (D+1, n) rows one inner draw at a time and every sum runs in draw
+order, for any n. Never reduce a contiguous last axis, and never an (m, 1)
+array or the middle axis of a (D+1, m, 1) one: numpy sums those pairwise,
+which breaks the bitwise identities at n = 1 (deep levels, and the ragged
+last block of a top-up) and changes the output bits.
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
@@ -81,21 +91,30 @@ def antithetic_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _payoffs_with_best(
     model: DecisionModel, m: int, n: int, stream: RandomStream
 ) -> np.ndarray:
-    """Payoff block of shape (m, n, D+1), inner index first; the last column
-    holds the pathwise best payoff so one reduction call covers every column.
+    """Payoff block of shape (m, D+1, n): one (m, n) plane per decision, and
+    a last plane holding the pathwise best payoff, so one reduction call
+    covers every plane. The model writes its planes straight into the block.
 
-    With the inner index outermost, a sum over axis 0 adds whole rows in draw
-    order, one vectorized pass per inner draw."""
+    With the inner index outermost, a sum over axis 0 adds whole (D+1, n)
+    rows in draw order, one vectorized pass per inner draw."""
     x = model.sample_outer(stream, n)
-    f = model.payoffs(x, model.sample_inner(x, stream, m))
-    d = f.shape[2]
-    g = np.empty((m, n, d + 1))
-    g[:, :, :d] = f.transpose(1, 0, 2)
-    best = g[:, :, d]
-    best[...] = g[:, :, 0]
-    for k in range(1, d):
-        np.maximum(best, g[:, :, k], out=best)
+    y = model.sample_inner(x, stream, m)
+    d = model.decision_count
+    g = np.empty((m, d + 1, n))
+    model.payoffs(x, y, out=g[:, :d, :].transpose(2, 0, 1))
+    best = g[:, d, :]
+    if d == 1:
+        best[...] = g[:, 0, :]
+    else:
+        np.maximum(g[:, 0, :], g[:, 1, :], out=best)
+    for k in range(2, d):
+        np.maximum(best, g[:, k, :], out=best)
     return g
+
+
+def _decision_max(sums: np.ndarray) -> np.ndarray:
+    """Best decision of (D+1, n) sums: the max over the D decision rows."""
+    return np.maximum.reduce(sums[:-1], axis=0)
 
 
 def _level_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
@@ -106,23 +125,24 @@ def _level_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     ga = g[:half].sum(axis=0)
     gb = g[half:].sum(axis=0)
     sums = ga + gb
-    full_best = sums[:, :-1].max(axis=1) / m
-    z = 0.5 * (ga[:, :-1].max(axis=1) / half + gb[:, :-1].max(axis=1) / half) - full_best
-    p = sums[:, -1] / m - full_best
+    full_best = _decision_max(sums) / m
+    z = 0.5 * (_decision_max(ga) / half + _decision_max(gb) / half) - full_best
+    p = sums[-1] / m - full_best
     return z, p
 
 
 def _p_block(model: DecisionModel, m: int, n: int, stream: RandomStream) -> np.ndarray:
     """One block of gap draws over m inner samples; m = 1 gives exact zeros."""
     sums = _payoffs_with_best(model, m, n, stream).sum(axis=0)
-    return sums[:, -1] / m - sums[:, :-1].max(axis=1) / m
+    return sums[-1] / m - _decision_max(sums) / m
 
 
 def _best_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     """One block of joint draws (m = 1): the pathwise best payoffs, and the
-    per-decision payoff sums."""
+    per-decision payoff sums. The sums run over an (n, D) copy, so they add
+    rows in outer-draw order; summing the contiguous planes would be pairwise."""
     g = _payoffs_with_best(model, m, n, stream)[0]
-    return g[:, -1], g[:, :-1].sum(axis=0)
+    return g[-1], g[:-1].T.copy().sum(axis=0)
 
 
 def _map_blocks(

@@ -63,8 +63,18 @@ class DecisionModel(ABC):
         """Draw ``m`` inner samples per outer row from Y | X; shape (n, m, inner_dim)."""
 
     @abstractmethod
-    def payoffs(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        """Payoff of every decision at each (X_i, Y_ij); shape (n, m, decision_count)."""
+    def payoffs(
+        self, outer: np.ndarray, inner: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Payoff of every decision at each (X_i, Y_ij); shape (n, m, decision_count).
+
+        The result is stored as decision planes: each ``out[:, :, d].T`` is
+        one C-contiguous (m, n) plane, inner draw first. When ``out`` is None
+        a fresh ``np.empty((m, decision_count, n)).transpose(2, 0, 1)`` is
+        filled; otherwise ``out`` must be a view of that kind (for instance
+        the first planes of a larger block buffer), and it is filled and
+        returned.
+        """
 
     @property
     def has_analytic_conditional_mean(self) -> bool:
@@ -73,6 +83,13 @@ class DecisionModel(ABC):
     def conditional_means(self, outer: np.ndarray) -> np.ndarray:
         """E[f_d(X, Y) | X] for each outer row and decision; shape (n, decision_count)."""
         raise CapabilityError(f"model {self.name!r} has no analytic conditional mean")
+
+
+def _decision_planes(outer: np.ndarray, inner: np.ndarray, d: int, out: np.ndarray | None):
+    """The payoff array ``payoffs`` fills, and its (m, n) decision planes."""
+    if out is None:
+        out = np.empty((inner.shape[1], d, outer.shape[0])).transpose(2, 0, 1)
+    return out, [out[:, :, k].T for k in range(d)]
 
 
 def _check_decision(model: DecisionModel, d: int) -> None:
@@ -132,16 +149,18 @@ class SyntheticModel(DecisionModel):
     def sample_inner(self, outer: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
         return stream.normals((outer.shape[0], int(m), 1))
 
-    def payoffs(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    def payoffs(
+        self, outer: np.ndarray, inner: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        f, planes = _decision_planes(outer, inner, self.decision_count, out)
         x = outer[:, 0]
-        y = inner[:, :, 0]
-        f = np.empty(y.shape + (self.decision_count,))
-        for d, (shift, c) in enumerate(zip(self._shifts, self._noise)):
-            base = shift(x)[:, None]
+        yt = inner[:, :, 0].T
+        for plane, shift, c in zip(planes, self._shifts, self._noise):
             if c != 0.0:
-                f[:, :, d] = base + c * y
+                np.multiply(yt, c, out=plane)
+                plane += shift(x)
             else:
-                f[:, :, d] = base
+                plane[...] = shift(x)
         return f
 
     def conditional_means(self, outer: np.ndarray) -> np.ndarray:
@@ -197,6 +216,14 @@ BKOC_LAMBDA = 1.0e4
 BKOC_DEFAULT_OUTER = (5, 14)
 
 
+def _index(value, field: str) -> int:
+    """A 1-based variable index; booleans, floats and strings are refused
+    rather than truncated or split into digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{field} must hold integer indices, not {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class GaussianModelSpec:
     """Parameters of the 19-variable two-treatment net-benefit model.
@@ -221,9 +248,14 @@ class GaussianModelSpec:
         object.__setattr__(
             self,
             "correlated_pairs",
-            tuple((int(i), int(j), float(r)) for i, j, r in self.correlated_pairs),
+            tuple(
+                (_index(i, "correlated_pairs"), _index(j, "correlated_pairs"), float(r))
+                for i, j, r in self.correlated_pairs
+            ),
         )
-        object.__setattr__(self, "outer_indices", tuple(int(i) for i in self.outer_indices))
+        object.__setattr__(
+            self, "outer_indices", tuple(_index(i, "outer_indices") for i in self.outer_indices)
+        )
         object.__setattr__(self, "lam", float(self.lam))
         if len(self.means) != _N_VARS or len(self.std_devs) != _N_VARS:
             raise ConfigError(f"means and std_devs must each have {_N_VARS} entries")
@@ -369,24 +401,28 @@ class BkocModel(DecisionModel):
         """Conditional covariance of the inner block (constant in the outer values)."""
         return self._cond_cov.copy()
 
-    def payoffs(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    def payoffs(
+        self, outer: np.ndarray, inner: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         outer = np.asarray(outer)
-        n, m = inner.shape[0], inner.shape[1]
+        f, planes = _decision_planes(outer, inner, self.decision_count, out)
+
+        # One transposing copy turns every inner factor into a contiguous
+        # (m, n) plane, so the products below stream like the output planes.
+        yt = inner.transpose(1, 2, 0).copy()
 
         def column(p, q):
-            return outer[:, p, None] if q is None else inner[:, :, q]
+            return outer[:, p] if q is None else yt[:, q, :]
 
-        f = np.empty((n, m, 2))
-        for d, terms in enumerate(self._factor_columns):
-            total = np.zeros((n, m))
+        prod = np.empty(planes[0].shape)
+        for total, terms in zip(planes, self._factor_columns):
+            total.fill(0.0)
             for coef, factors in terms:
-                prod = np.empty((n, m))
                 prod[...] = column(*factors[0])
                 for p, q in factors[1:]:
                     prod *= column(p, q)
                 prod *= coef
                 total += prod
-            f[:, :, d] = total
         return f
 
     def conditional_means(self, outer: np.ndarray) -> np.ndarray:

@@ -52,6 +52,19 @@ def test_config_errors_exit_3(tmp_path, capsys):
         ["run", "--model", "synthetic1", "--epsilon", "0.1", "--threads", "0"],
         ["run", "--model", "synthetic1", "--epsilon", "0.1", "--threads", "-3"],
     ]
+    # config files whose indices are not integers: none may be truncated,
+    # split into digits or read as a boolean
+    for k, bad in enumerate(
+        [
+            {"outer_indices": [1.5]},
+            {"outer_indices": "14"},
+            {"correlated_pairs": [[5.9, 7, 0.6]]},
+            {"outer_indices": [True]},
+        ]
+    ):
+        cfg = tmp_path / f"bad_index_{k}.json"
+        cfg.write_text(json.dumps(bad))
+        cases.append(["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"])
     for argv in cases:
         code, _ = run_cli(tmp_path, *argv)
         captured = capsys.readouterr()

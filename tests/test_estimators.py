@@ -1,5 +1,6 @@
 """Estimator kernels: exact identities, stream layout, and reference values."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from voimc import (
 )
 from voimc.diagnostics import stats_from_accumulators
 from voimc.estimators import (
+    _BLOCK_VALUE_BUDGET,
+    _MAX_BLOCK_OUTER,
     accumulate_level,
     accumulate_p_level,
     antithetic_terms,
@@ -23,7 +26,7 @@ from voimc.estimators import (
     nested_mc,
     sample_level_batch,
 )
-from voimc.models import AssumptionClass
+from voimc.models import AssumptionClass, GaussianModelSpec
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
 MODEL_IDS = [m.name for m in ALL_MODELS]
@@ -38,6 +41,12 @@ def constant_gap_model():
         (1.0, 1.0),
         AssumptionClass.SATISFIES_ALL,
     )
+
+
+def full_block(model, m):
+    """Outer draws in one full block at m inner draws, as the block plan sizes it."""
+    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
+    return max(1, min(_BLOCK_VALUE_BUDGET // width, _MAX_BLOCK_OUTER))
 
 
 def replay_payoffs(model, level, n, stream):
@@ -100,6 +109,21 @@ def test_level_one_correction_equals_gap():
         np.testing.assert_array_equal(z, p)
 
 
+def assert_exact_identities(z, p, f):
+    """Check the bitwise identities of level draws z, p against their raw
+    payoffs f; returns how many draws had all three argmax decisions agree."""
+    mean_a, mean_b, mean_full = antithetic_terms(f)
+    arg_a = mean_a.argmax(axis=1)
+    arg_b = mean_b.argmax(axis=1)
+    arg_f = mean_full.argmax(axis=1)
+    agree = (arg_a == arg_b) & (arg_b == arg_f)
+    assert (z[agree] == 0.0).all()
+    assert (z >= 0.0).all()
+    assert (p >= 0.0).all()
+    assert (p >= z).all()
+    return int(agree.sum())
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
 @pytest.mark.parametrize("level", [1, 3])
 def test_exact_invariants_against_replay(model, level):
@@ -110,16 +134,26 @@ def test_exact_invariants_against_replay(model, level):
     for b in range(chunks):
         z, p = sample_level_batch(model, level, chunk, RandomStream(40), first_block=b)
         f = replay_payoffs(model, level, chunk, RandomStream(40).split(b))
-        mean_a, mean_b, mean_full = antithetic_terms(f)
-        arg_a = mean_a.argmax(axis=1)
-        arg_b = mean_b.argmax(axis=1)
-        arg_f = mean_full.argmax(axis=1)
-        agree = (arg_a == arg_b) & (arg_b == arg_f)
-        agreements += int(agree.sum())
-        assert (z[agree] == 0.0).all()
-        assert (z >= 0.0).all()
-        assert (p >= 0.0).all()
-        assert (p >= z).all()
+        agreements += assert_exact_identities(z, p, f)
+    assert agreements > 0
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("level", [6, 10])
+def test_exact_invariants_on_single_outer_blocks(model, level):
+    # blocks of one outer draw, alone or as the ragged last block of a plan,
+    # are the shapes where a pairwise inner sum would break the ordering
+    cases = []
+    for b in range(8):
+        z, p = sample_level_batch(model, level, 1, RandomStream(50), first_block=b)
+        cases.append((z, p, RandomStream(50).split(b)))
+    full = full_block(model, 1 << level)
+    z, p = sample_level_batch(model, level, full + 1, RandomStream(51))
+    assert z.shape == (full + 1,)
+    cases.append((z[full:], p[full:], RandomStream(51).split(1)))
+    agreements = 0
+    for z, p, sub in cases:
+        agreements += assert_exact_identities(z, p, replay_payoffs(model, level, 1, sub))
     assert agreements > 0
 
 
@@ -180,19 +214,22 @@ def test_top_up_extends_the_same_sequence():
 
 
 def test_thread_count_does_not_change_results():
-    model = synthetic1()
-    z1, p1 = sample_level_batch(model, 1, 300_000, RandomStream(19), threads=1)
-    z4, p4 = sample_level_batch(model, 1, 300_000, RandomStream(19), threads=4)
-    np.testing.assert_array_equal(z1, z4)
-    np.testing.assert_array_equal(p1, p4)
+    # synthetic1 at level 1 on 4 workers, and bkoc (5,14) at level 4 on 3
+    # workers over three blocks, the last of them one outer draw
+    bkoc = BkocModel()
+    cases = [(synthetic1(), 1, 300_000, 4), (bkoc, 4, 2 * full_block(bkoc, 1 << 4) + 1, 3)]
+    for model, level, n, threads in cases:
+        z1, p1 = sample_level_batch(model, level, n, RandomStream(19), threads=1)
+        zt, pt = sample_level_batch(model, level, n, RandomStream(19), threads=threads)
+        np.testing.assert_array_equal(z1, zt)
+        np.testing.assert_array_equal(p1, pt)
 
-    acc1_z, acc1_p = MomentAccumulator(), MomentAccumulator()
-    acc4_z, acc4_p = MomentAccumulator(), MomentAccumulator()
-    accumulate_level(model, 1, 300_000, RandomStream(19), acc1_z, acc1_p, threads=1)
-    accumulate_level(model, 1, 300_000, RandomStream(19), acc4_z, acc4_p, threads=4)
-    assert acc1_z.mean == acc4_z.mean
-    assert acc1_z.m2 == acc4_z.m2
-    assert acc1_z.m4 == acc4_z.m4
+        moments = []
+        for workers in (1, threads):
+            acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+            accumulate_level(model, level, n, RandomStream(19), acc_z, acc_p, threads=workers)
+            moments.append([(a.n, a.mean, a.m2, a.m3, a.m4) for a in (acc_z, acc_p)])
+        assert moments[0] == moments[1]
 
 
 def test_accumulate_p_level_zero_level():
@@ -250,3 +287,83 @@ def test_nested_mc_nonnegative_and_deterministic():
         nested_mc(synthetic1(), 0, 4, RandomStream(0))
     with pytest.raises(ValueError):
         nested_mc(synthetic1(), 4, 0, RandomStream(0))
+
+
+# sha256 of the raw outputs of the four batch routines, per model. Sizes 1,
+# 2, 3 and one full block run on one thread (a one-block plan never reaches
+# the pool); a full block plus one runs its two blocks on the 2-thread pool.
+# Any change to draw order, block plan or reduction order changes them.
+KERNEL_MODELS = {
+    "synthetic1": synthetic1,
+    "synthetic2": synthetic2,
+    "synthetic3": synthetic3,
+    "bkoc_5_14": BkocModel,
+    "bkoc_3": lambda: BkocModel(GaussianModelSpec(outer_indices=(3,))),
+}
+KERNEL_DIGESTS = {
+    "synthetic1": {
+        "level_batch": "fd86ee4ae5f0d15639d70c0a3da2a7981b0cc280b49414e04f6ffefb6591f989",
+        "p_level": "90eb4efeebb6d89c171a62fbe317b9406afae115de1cf6dbfd4a3884b1a528d1",
+        "evpi": "412195800512371797bef5928dcbd5c76a54d71adf542a19b3faa6035e2e7364",
+        "nested": "6365e9cd3b2f5d2a91ebae1efe23ea54666dd06262ccfb5075259fe1016c9d53",
+    },
+    "synthetic2": {
+        "level_batch": "ed442592030d119dc7afe177e43e4742ce8552bed698248ab6af55f357d10b2d",
+        "p_level": "97597b76fb00168c172dba8eb12bf08665b2a4dfe5c46b16025ddeefba824710",
+        "evpi": "4602794cf56d8f69eb4ae47b78f8c1d314a5e95883c291d70e6dcdc18f625e82",
+        "nested": "dccbd758b6a72e26cf6ea33dbbf405220f598526de11f7ca9cf38f9530aaf3ec",
+    },
+    "synthetic3": {
+        "level_batch": "1d46180ff7c3359f303c8c583c20acacc591237ce66f238944649fc544efc87c",
+        "p_level": "793b824efbae295478e2429d53cb8f20da74a6bc4e642daa8bfc5e3a1e917d74",
+        "evpi": "6243ed34ea9c41a2b62381549dd53d1802b24c4906a317846efc81eb913eb25b",
+        "nested": "fc8d84c8b597a6bc0a930bb692e87e8cd22fbef4dd2a6ef565676dae0629f80e",
+    },
+    "bkoc_5_14": {
+        "level_batch": "4301de1f9d58af2e1a4407951c83eebda72c437e129c099c993ddf432678ef33",
+        "p_level": "f16e4740d57f76c8cbcbdd54aa529d3764c06b7261424aa86618f75cdcba2dd3",
+        "evpi": "14a4098ac294443eb29b77bd70bb80a875a73b1f3e0e77bc0be15634df75be61",
+        "nested": "8ad78d4790798444095d0573a1a9a32685dba492de6cd803f74538ee456d7044",
+    },
+    "bkoc_3": {
+        "level_batch": "0d56e2f91ece369ec9a6c466a60cd428b850c01a54c3cd19d1ff112ee37b48b8",
+        "p_level": "e8d9115d5f71b4c9ce8db3ed1605409dde543f91ee48524dcac15ff9895ab6bc",
+        "evpi": "a4b28cce3d928eb489d4ab6df3042bd9f71555dd66a4d350554a8df3c433d3a5",
+        "nested": "123530298e1ad80b791cd5aa07e51c972b1d69f01e52b039c0d36392fce0675b",
+    },
+}
+
+
+def kernel_digests(model):
+    hashes = {key: hashlib.sha256() for key in ("level_batch", "p_level", "evpi", "nested")}
+
+    def put(key, *values):
+        for v in values:
+            hashes[key].update(np.asarray(v, dtype=np.float64).tobytes())
+
+    def runs(m):
+        full = full_block(model, m)
+        return [(1, 1), (2, 1), (3, 1), (full, 1), (full + 1, 2)]
+
+    for level in range(11):
+        for n, threads in runs(1 << level):
+            if level:
+                zp = sample_level_batch(model, level, n, RandomStream(level), threads=threads)
+                put("level_batch", *zp)
+            acc = MomentAccumulator()
+            accumulate_p_level(model, level, n, RandomStream(level), acc, threads=threads)
+            put("p_level", acc.n, acc.mean, acc.m2, acc.m3, acc.m4)
+    for n, threads in runs(1):
+        est = evpi_mc(model, n, RandomStream(n), threads=threads)
+        put("evpi", est.value, est.std_error)
+    for m in (1, 3, 1000):
+        for n, threads in runs(m):
+            est = nested_mc(model, n, m, RandomStream(m), threads=threads)
+            put("nested", est.value, est.std_error)
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_raw_kernel_bits_are_pinned(name):
+    # levels 0-10 at block sizes 1, 2, 3, full and full + 1
+    assert kernel_digests(KERNEL_MODELS[name]()) == KERNEL_DIGESTS[name]

@@ -224,6 +224,13 @@ def test_spec_validation():
         GaussianModelSpec(outer_indices=(0,))
     with pytest.raises(ConfigError):
         GaussianModelSpec(outer_indices=(20,))
+    for bad in ((1.5,), "14", (True,), (np.float64(5.0),)):
+        with pytest.raises(ConfigError):
+            GaussianModelSpec(outer_indices=bad)
+    for bad in ((5.9, 7, 0.6), (5, "7", 0.6), (False, 7, 0.6)):
+        with pytest.raises(ConfigError):
+            GaussianModelSpec(correlated_pairs=(bad,))
+    assert GaussianModelSpec(outer_indices=(np.int64(5),)).outer_indices == (5,)
     # a correlation cycle that no joint Gaussian admits
     with pytest.raises(ConfigError):
         GaussianModelSpec(correlated_pairs=((1, 2, 0.9), (2, 3, 0.9), (1, 3, -0.9)))

@@ -411,7 +411,6 @@ def _cmd_evppi(args) -> int:
     epsilon = _single_epsilon(args)
     report = evppi_report(
         model,
-        None,  # --outer was already applied when the model was built
         epsilon,
         _positive(args.n, "--n"),
         RandomStream(args.seed),

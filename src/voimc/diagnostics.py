@@ -3,9 +3,9 @@
 Everything here answers a question about the multilevel estimator from
 level statistics alone: how fast do the level corrections decay
 (level_sweep, fit_rates), how large is the bias left beyond the finest level
-(bias_remainder), and what would plain nested sampling or the adaptive
-driver pay at a target accuracy (standard_cost, projected_costs). Running
-the driver itself is the job of :mod:`voimc.mlmc`, which builds on this
+(bias_remainder), and what would plain nested sampling pay at a target
+accuracy (standard_cost). Running the driver, and the cost reports built on
+its allocation, are the job of :mod:`voimc.mlmc`, which builds on this
 module.
 
 Sweeps fan blocks out across workers per level and merge moment
@@ -207,59 +207,3 @@ def standard_cost(
     finest = max(stats, key=lambda s: s.level)
     n_std = math.ceil(2.0 * finest.var_p / (epsilon * epsilon))
     return cutoff, float(n_std) * 2.0**cutoff
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One accuracy target: the multilevel cost against the modeled
-    standard-MC cost, both in inner samples."""
-
-    epsilon: float
-    mlmc_cost: float
-    std_cost_model: float
-    ratio: float
-
-
-def projected_costs(
-    stats: Sequence[LevelStats],
-    epsilon: float,
-    warmup_samples: int = COMPARISON_WARMUP,
-) -> ComparisonRow:
-    """Model both costs at a target accuracy from measured level statistics,
-    without running the driver.
-
-    Mirrors the driver's arithmetic: the level cutoff comes from the
-    extrapolated bias, per-level sample counts from the optimal allocation
-    with the warm-up as a floor, and variances beyond the measured range
-    decay at the fitted beta. Useful where executing the run is itself too
-    expensive.
-    """
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise ValueError("the accuracy target must be positive")
-    measured = sorted((s for s in stats if s.level >= 1), key=lambda s: s.level)
-    if not measured:
-        raise InsufficientDataError("cost projection needs statistics for levels >= 1")
-    rates = fit_rates(stats, min_level=2)
-    cutoff, std_cost = standard_cost(measured, max(0.5, rates.alpha), epsilon)
-
-    by_level = {s.level: s.var_z for s in measured}
-    top = measured[-1]
-
-    def variance_at(level: int) -> float:
-        if level in by_level:
-            return max(by_level[level], 0.0)
-        return max(top.var_z, 0.0) * 2.0 ** (-rates.beta * (level - top.level))
-
-    levels = range(1, cutoff + 1)
-    root_vc = math.fsum(math.sqrt(variance_at(l) * 2.0**l) for l in levels)
-    scale = 2.0 / (epsilon * epsilon) * root_vc
-    mlmc_cost = math.fsum(
-        max(warmup_samples, math.ceil(scale * math.sqrt(variance_at(l) / 2.0**l))) * 2.0**l
-        for l in levels
-    )
-    return ComparisonRow(
-        epsilon=float(epsilon),
-        mlmc_cost=mlmc_cost,
-        std_cost_model=std_cost,
-        ratio=std_cost / mlmc_cost,
-    )

@@ -3,20 +3,24 @@
 The driver estimates E[max_d f_d] - E[max_d E[f_d|X]] as the telescoped sum
 of level-correction means, choosing how deep to go and how many draws each
 level gets so the mean-square error splits evenly: estimator variance at
-most eps^2/2 and squared bias at most eps^2/2.
+most eps^2/2 and squared bias at most eps^2/2. A run is set by three
+values, the ones in :class:`MlmcConfig`: the target eps, the warm-up draws
+per new level and the finest level allowed.
 
-The control loop is sequential. Each pass recomputes pooled per-level
-statistics, refits decay rates, and derives the optimal sample allocation;
-if any level is short, it is topped up and the loop repeats. Only once every
-allocation is satisfied under the current variance estimates is the bias
-remainder tested, and a failing test appends one finer level with warm-up
-draws. Sampling inside a level fans out over block substreams, so the whole
-run is reproducible bit for bit from (model, config, seed).
+The control loop is sequential. It starts from warm-up draws at levels
+1..3. Each pass recomputes pooled per-level statistics, refits decay rates,
+and derives the optimal sample allocation; if any level is short, it is
+topped up and the loop repeats. Only once every allocation is satisfied
+under the current variance estimates is the bias remainder tested, and a
+failing test appends one finer level with warm-up draws. Sampling inside a
+level fans out over block substreams, so the whole run is reproducible bit
+for bit from (model, config, seed).
 
-The two reports that run the driver live here too: the multilevel cost
-against the modeled standard-MC cost over several targets
-(cost_comparison), and the EVPI / EVPPI summary for one partition
-(evppi_report).
+The reports built on the driver's arithmetic live here too: the multilevel
+cost against the modeled standard-MC cost, either from driver runs over
+several targets (cost_comparison) or projected from measured level
+statistics without a run (projected_costs), and the EVPI / EVPPI summary of
+a model (evppi_report).
 """
 
 from __future__ import annotations
@@ -24,11 +28,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diagnostics import (
-    COMPARISON_WARMUP,
-    ComparisonRow,
     LevelStats,
     bias_remainder,
     fit_rates,
@@ -36,8 +38,8 @@ from .diagnostics import (
     stats_from_accumulators,
 )
 from .errors import ConfigError, InsufficientDataError
-from .estimators import Estimate, accumulate_level, evpi_mc
-from .models import BkocModel, DecisionModel
+from .estimators import accumulate_level, evpi_mc
+from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
 
@@ -47,31 +49,36 @@ _MAX_ITERATIONS = 200
 
 _KURTOSIS_WARNING = 100.0
 
+# Levels 1..3 get warm-up draws before the first pass: the bias test
+# extrapolates from the last three level means.
+_INITIAL_LEVELS = 3
+
+# Warm-up size, and allocation floor, of the cost reports. The default
+# driver warm-up is sized for one accurate run; a cost comparison spans
+# coarse targets where that much warm-up would dominate the measured cost
+# and flatten nothing, so these reports use a lighter one.
+COMPARISON_WARMUP = 300
+
 
 @dataclass(frozen=True)
 class MlmcConfig:
-    """Driver settings: the RMS accuracy target and sampling policy knobs."""
+    """Driver settings: the RMS accuracy target ``epsilon``, the draws each
+    new level gets before its variance is trusted (``warmup_samples``, also
+    the per-level allocation when every variance is zero), and the finest
+    level the driver may add (``max_level``, at least the 3 warm-up levels).
+    """
 
     epsilon: float
     warmup_samples: int = 10_000
-    initial_levels: int = 3
     max_level: int = 25
-    alpha_override: Optional[float] = None
-    beta_override: Optional[float] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError("epsilon must be a positive finite number")
         if self.warmup_samples < 100:
             raise ConfigError("warmup_samples must be at least 100")
-        if self.initial_levels < 2:
-            raise ConfigError("initial_levels must be at least 2")
-        if self.max_level < self.initial_levels:
-            raise ConfigError("max_level must be at least initial_levels")
-        for name in ("alpha_override", "beta_override"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive when given")
+        if self.max_level < _INITIAL_LEVELS:
+            raise ConfigError(f"max_level must be at least {_INITIAL_LEVELS}")
 
 
 @dataclass(frozen=True)
@@ -130,44 +137,19 @@ def optimal_allocation(
     return counts, False
 
 
-def bias_converged(
-    stats: Sequence[LevelStats], alpha: float, epsilon: float
-) -> tuple[bool, float]:
-    """Test whether the estimated bias remainder clears eps/sqrt(2)."""
-    if len(stats) < 3:
-        raise InsufficientDataError("the bias test needs at least 3 levels")
-    finest = max(s.level for s in stats)
-    remainder = bias_remainder(stats, alpha, finest)
-    return remainder <= epsilon / math.sqrt(2.0), remainder
-
-
-def _driver_rates(
-    stats: Sequence[LevelStats], config: MlmcConfig
-) -> tuple[float, float]:
-    """Decay rates for the control loop: overrides win, otherwise a fit over
-    levels >= 2 (falling back to all levels while too few exist), with alpha
-    floored at 0.5. An unfittable alpha defaults to 1.0; it only matters
+def _driver_rates(stats: Sequence[LevelStats]) -> tuple[float, float]:
+    """Decay rates for the control loop: a fit over levels >= 2, falling back
+    to all levels while too few exist, with alpha floored at 0.5. An
+    unfittable alpha defaults to 1.0 and beta to NaN; alpha only matters
     when some level mean is nonzero, and by then the fit succeeds."""
-    alpha = config.alpha_override
-    beta = config.beta_override
-    if alpha is not None and beta is not None:
-        return float(alpha), float(beta)
-    fitted = None
-    try:
-        fitted = fit_rates(stats, min_level=2)
-    except InsufficientDataError:
+    for min_level in (2, 1):
         try:
-            fitted = fit_rates(stats, min_level=1)
+            fitted = fit_rates(stats, min_level=min_level)
         except InsufficientDataError:
-            fitted = None
-    if alpha is None:
-        if fitted is not None and math.isfinite(fitted.alpha):
-            alpha = max(0.5, fitted.alpha)
-        else:
-            alpha = 1.0
-    if beta is None:
-        beta = fitted.beta if fitted is not None else math.nan
-    return float(alpha), float(beta)
+            continue
+        alpha = max(0.5, fitted.alpha) if math.isfinite(fitted.alpha) else 1.0
+        return float(alpha), float(fitted.beta)
+    return 1.0, math.nan
 
 
 class _LevelState:
@@ -216,7 +198,7 @@ def mlmc_run(
             for level in sorted(states)
         ]
 
-    for level in range(1, config.initial_levels + 1):
+    for level in range(1, _INITIAL_LEVELS + 1):
         grow(level, config.warmup_samples)
 
     converged = False
@@ -226,7 +208,7 @@ def mlmc_run(
 
     for iteration in range(_MAX_ITERATIONS):
         stats = pooled_stats()
-        alpha, beta = _driver_rates(stats, config)
+        alpha, beta = _driver_rates(stats)
         targets, degenerate = optimal_allocation(
             stats, config.epsilon, min_allocation=config.warmup_samples
         )
@@ -253,9 +235,9 @@ def mlmc_run(
                 grow(level, extra)
             continue
         finest = stats[-1].level
-        if len(stats) >= 3:
-            converged, remainder = bias_converged(stats, alpha, config.epsilon)
-            record["remainder"] = float(remainder)
+        remainder = bias_remainder(stats, alpha, finest)
+        converged = remainder <= config.epsilon / math.sqrt(2.0)
+        record["remainder"] = float(remainder)
         if converged:
             record["action"] = "stop"
             history.append(record)
@@ -302,6 +284,17 @@ def mlmc_run(
     )
 
 
+@dataclass(frozen=True)
+class ComparisonRow:
+    """One accuracy target: the multilevel cost against the modeled
+    standard-MC cost, both in inner samples."""
+
+    epsilon: float
+    mlmc_cost: float
+    std_cost_model: float
+    ratio: float
+
+
 def cost_comparison(
     model: DecisionModel,
     epsilons: Sequence[float],
@@ -338,6 +331,48 @@ def cost_comparison(
     return rows
 
 
+def projected_costs(stats: Sequence[LevelStats], epsilon: float) -> ComparisonRow:
+    """Model both costs at a target accuracy from measured level statistics,
+    without running the driver.
+
+    The level cutoff comes from the extrapolated bias and the per-level
+    sample counts from the driver's optimal allocation, floored at
+    COMPARISON_WARMUP draws; variances beyond the measured levels decay at
+    the fitted beta. Useful where executing the run is itself too
+    expensive.
+    """
+    if epsilon <= 0.0 or not math.isfinite(epsilon):
+        raise ValueError("the accuracy target must be positive")
+    measured = sorted((s for s in stats if s.level >= 1), key=lambda s: s.level)
+    if not measured:
+        raise InsufficientDataError("cost projection needs statistics for levels >= 1")
+    rates = fit_rates(stats, min_level=2)
+    cutoff, std_cost = standard_cost(measured, max(0.5, rates.alpha), epsilon)
+    by_level = {s.level: s for s in measured}
+    top = measured[-1]
+
+    def row(level: int) -> LevelStats:
+        # Only the variance and the cost of a row enter the allocation.
+        if level in by_level:
+            return by_level[level]
+        decay = 2.0 ** (-rates.beta * (level - top.level))
+        return dataclasses.replace(
+            top, level=level, var_z=top.var_z * decay, cost_per_sample=1 << level
+        )
+
+    rows = [row(level) for level in range(1, cutoff + 1)]
+    counts, _ = optimal_allocation(rows, epsilon, min_allocation=COMPARISON_WARMUP)
+    mlmc_cost = math.fsum(
+        max(COMPARISON_WARMUP, n) * 2.0**r.level for r, n in zip(rows, counts)
+    )
+    return ComparisonRow(
+        epsilon=float(epsilon),
+        mlmc_cost=mlmc_cost,
+        std_cost_model=std_cost,
+        ratio=std_cost / mlmc_cost,
+    )
+
+
 @dataclass(frozen=True)
 class EvppiReport:
     """EVPI, the partial-information gap, and their difference EVPPI.
@@ -356,13 +391,11 @@ class EvppiReport:
     epsilon: float
     n_evpi: int
     converged: bool
-    evpi_estimate: Estimate
     mlmc_result: MlmcResult
 
 
 def evppi_report(
     model: DecisionModel,
-    partition: Sequence[int] | None,
     epsilon: float,
     n_evpi: int,
     stream: RandomStream,
@@ -371,33 +404,26 @@ def evppi_report(
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
-    ``partition`` selects the observed (outer) variables for models with a
-    configurable partition; pass None to keep the model's own.
+    The partition is the model's own; build the model with
+    ``make_model(..., outer=...)`` to choose another.
     """
-    if partition is not None:
-        if isinstance(model, BkocModel):
-            outer = tuple(int(i) for i in partition)
-            model = BkocModel(dataclasses.replace(model.spec, outer_indices=outer))
-        else:
-            raise ConfigError(f"model {model.name!r} has a fixed partition")
     if n_evpi < 2:
         raise ConfigError("the EVPI estimate needs at least two samples")
     config = MlmcConfig(epsilon=float(epsilon))
-    evpi_estimate = evpi_mc(model, int(n_evpi), stream.split(0), threads=threads)
+    evpi = evpi_mc(model, int(n_evpi), stream.split(0), threads=threads)
     result = mlmc_run(model, config, stream.split(1), threads=threads)
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
     difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
-    evppi_rms = math.sqrt(evpi_estimate.std_error**2 + difference_rms**2)
+    evppi_rms = math.sqrt(evpi.std_error**2 + difference_rms**2)
     return EvppiReport(
-        evpi=evpi_estimate.value,
-        evpi_std_error=evpi_estimate.std_error,
+        evpi=evpi.value,
+        evpi_std_error=evpi.std_error,
         difference=result.estimate,
         difference_rms_error=difference_rms,
-        evppi=evpi_estimate.value - result.estimate,
+        evppi=evpi.value - result.estimate,
         evppi_rms_error=evppi_rms,
         epsilon=float(epsilon),
         n_evpi=int(n_evpi),
         converged=result.converged,
-        evpi_estimate=evpi_estimate,
         mlmc_result=result,
     )

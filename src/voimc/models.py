@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import numbers
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -76,10 +77,6 @@ class DecisionModel(ABC):
         returned.
         """
 
-    @property
-    def has_analytic_conditional_mean(self) -> bool:
-        return type(self).conditional_means is not DecisionModel.conditional_means
-
     def conditional_means(self, outer: np.ndarray) -> np.ndarray:
         """E[f_d(X, Y) | X] for each outer row and decision; shape (n, decision_count)."""
         raise CapabilityError(f"model {self.name!r} has no analytic conditional mean")
@@ -90,26 +87,6 @@ def _decision_planes(outer: np.ndarray, inner: np.ndarray, d: int, out: np.ndarr
     if out is None:
         out = np.empty((inner.shape[1], d, outer.shape[0])).transpose(2, 0, 1)
     return out, [out[:, :, k].T for k in range(d)]
-
-
-def _check_decision(model: DecisionModel, d: int) -> None:
-    if not 1 <= int(d) <= model.decision_count:
-        raise ValueError(f"decision index {d} outside 1..{model.decision_count}")
-
-
-def payoff(model: DecisionModel, d: int, outer: Sequence[float], inner: Sequence[float]) -> float:
-    """Payoff f_d at a single (outer, inner) point. Decisions are numbered from 1."""
-    _check_decision(model, d)
-    x = np.asarray(outer, dtype=np.float64).reshape(1, model.outer_dim)
-    y = np.asarray(inner, dtype=np.float64).reshape(1, 1, model.inner_dim)
-    return float(model.payoffs(x, y)[0, 0, int(d) - 1])
-
-
-def conditional_mean(model: DecisionModel, d: int, outer: Sequence[float]) -> float:
-    """E[f_d | X = outer] at a single outer point. Decisions are numbered from 1."""
-    _check_decision(model, d)
-    x = np.asarray(outer, dtype=np.float64).reshape(1, model.outer_dim)
-    return float(model.conditional_means(x)[0, int(d) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +201,14 @@ def _index(value, field: str) -> int:
     return int(value)
 
 
+def _number(value, field: str) -> float:
+    """A real parameter value; booleans and strings are refused rather than
+    read as 1.0 or parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{field} must hold numbers, not {value!r}")
+    return float(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class GaussianModelSpec:
     """Parameters of the 19-variable two-treatment net-benefit model.
@@ -243,20 +228,26 @@ class GaussianModelSpec:
     name: str = "bkoc"
 
     def __post_init__(self):
-        object.__setattr__(self, "means", tuple(float(v) for v in self.means))
-        object.__setattr__(self, "std_devs", tuple(float(v) for v in self.std_devs))
+        object.__setattr__(self, "means", tuple(_number(v, "means") for v in self.means))
+        object.__setattr__(
+            self, "std_devs", tuple(_number(v, "std_devs") for v in self.std_devs)
+        )
         object.__setattr__(
             self,
             "correlated_pairs",
             tuple(
-                (_index(i, "correlated_pairs"), _index(j, "correlated_pairs"), float(r))
+                (
+                    _index(i, "correlated_pairs"),
+                    _index(j, "correlated_pairs"),
+                    _number(r, "correlated_pairs"),
+                )
                 for i, j, r in self.correlated_pairs
             ),
         )
         object.__setattr__(
             self, "outer_indices", tuple(_index(i, "outer_indices") for i in self.outer_indices)
         )
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", _number(self.lam, "lambda"))
         if len(self.means) != _N_VARS or len(self.std_devs) != _N_VARS:
             raise ConfigError(f"means and std_devs must each have {_N_VARS} entries")
         if not all(np.isfinite(self.means)):
@@ -294,17 +285,6 @@ class GaussianModelSpec:
     def covariance_matrix(self) -> np.ndarray:
         sd = np.asarray(self.std_devs)
         return self.correlation_matrix() * np.outer(sd, sd)
-
-
-def sample_correlated_normals(spec: GaussianModelSpec, stream: RandomStream, n: int) -> np.ndarray:
-    """Joint draw of all 19 variables; shape (n, 19), columns in index order.
-
-    The correlation matrix's Cholesky factor reduces to the per-pair 2x2
-    factor whenever the pairs are disjoint (every other row is a unit row).
-    """
-    chol = np.linalg.cholesky(spec.correlation_matrix())
-    z = stream.normals((int(n), _N_VARS))
-    return np.asarray(spec.means) + np.asarray(spec.std_devs) * (z @ chol.T)
 
 
 # Net benefit per treatment: lam * (efficacy products) - (fixed cost + cost product).
@@ -395,11 +375,6 @@ class BkocModel(DecisionModel):
     def inner_conditional_means(self, outer: np.ndarray) -> np.ndarray:
         """Conditional mean of each inner variable given the outer values; (n, inner_dim)."""
         return np.asarray(outer) @ self._cond_gain.T + self._cond_offset
-
-    @property
-    def inner_conditional_cov(self) -> np.ndarray:
-        """Conditional covariance of the inner block (constant in the outer values)."""
-        return self._cond_cov.copy()
 
     def payoffs(
         self, outer: np.ndarray, inner: np.ndarray, out: np.ndarray | None = None
@@ -541,5 +516,5 @@ def make_model(
     else:
         raise ConfigError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
     if outer is not None:
-        spec = dataclasses.replace(spec, outer_indices=tuple(int(i) for i in outer))
+        spec = dataclasses.replace(spec, outer_indices=outer)
     return BkocModel(spec)

@@ -24,7 +24,7 @@ from voimc import (
     synthetic2,
     synthetic3,
 )
-from voimc.diagnostics import fit_rates, level_sweep, projected_costs
+from voimc.diagnostics import fit_rates, level_sweep
 from voimc.estimators import (
     accumulate_p_level,
     antithetic_terms,
@@ -32,7 +32,7 @@ from voimc.estimators import (
     nested_mc,
     sample_level_batch,
 )
-from voimc.mlmc import MlmcConfig, cost_comparison, mlmc_run
+from voimc.mlmc import MlmcConfig, cost_comparison, mlmc_run, projected_costs
 from voimc.models import GaussianModelSpec
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)

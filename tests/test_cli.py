@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from voimc.cli import main
+from voimc.models import BKOC_MEANS
 
 
 def run_cli(tmp_path, *argv):
@@ -51,15 +52,22 @@ def test_config_errors_exit_3(tmp_path, capsys):
         ["evppi", "--model", "synthetic1", "--epsilon", "-1"],
         ["run", "--model", "synthetic1", "--epsilon", "0.1", "--threads", "0"],
         ["run", "--model", "synthetic1", "--epsilon", "0.1", "--threads", "-3"],
+        # the driver warms up levels 1..3
+        ["run", "--model", "synthetic1", "--epsilon", "0.1", "--max-level", "2"],
     ]
-    # config files whose indices are not integers: none may be truncated,
-    # split into digits or read as a boolean
+    # config files whose indices are not integers or whose numbers are not
+    # numbers: none may be truncated, split into digits, parsed or read as
+    # a boolean
     for k, bad in enumerate(
         [
             {"outer_indices": [1.5]},
             {"outer_indices": "14"},
             {"correlated_pairs": [[5.9, 7, 0.6]]},
             {"outer_indices": [True]},
+            {"lambda": "5000"},
+            {"correlated_pairs": [[5, 7, "0.6"]]},
+            {"means": [True] + list(BKOC_MEANS[1:])},
+            {"std_devs": "1" * 19},
         ]
     ):
         cfg = tmp_path / f"bad_index_{k}.json"
@@ -232,6 +240,18 @@ def test_evppi_outer_partition(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["outer_indices"] == [7, 16]
     assert doc["evppi"] == doc["evpi"] - doc["difference"]
+    # with every variable observed nothing is left to learn: the gap is
+    # exactly zero and EVPPI equals EVPI
+    everything = ",".join(str(i) for i in range(1, 20))
+    code, out = run_cli(
+        tmp_path, "evppi", "--model", "bkoc", "--outer", everything,
+        "--epsilon", "300", "--n", "5000", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["outer_indices"] == list(range(1, 20))
+    assert doc["difference"] == 0.0
+    assert doc["evppi"] == doc["evpi"]
 
 
 def test_evppi_csv_single_row(tmp_path):

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from voimc import (
-    BkocModel,
-    ConfigError,
     InsufficientDataError,
     MomentAccumulator,
     RandomStream,
@@ -19,10 +17,17 @@ from voimc.diagnostics import (
     bias_remainder,
     fit_rates,
     level_sweep,
-    projected_costs,
     stats_from_accumulators,
 )
-from voimc.mlmc import MlmcConfig, cost_comparison, evppi_report, mlmc_run
+from voimc.mlmc import (
+    COMPARISON_WARMUP,
+    MlmcConfig,
+    cost_comparison,
+    evppi_report,
+    mlmc_run,
+    projected_costs,
+)
+from voimc.models import make_model
 
 
 def planted_stats(alpha=0.9, beta=1.3, levels=range(1, 7), var_p=1.0, n=100_000):
@@ -174,15 +179,21 @@ def test_cost_comparison_validation():
 def test_projected_costs_planted_arithmetic():
     # exact planted rates make every piece of the projection checkable
     stats = planted_stats(alpha=1.0, beta=1.5, levels=range(1, 6), var_p=1.0)
+    coefficient = bias_remainder(stats, 1.0, 0)
+
+    def cutoff(epsilon):
+        return math.ceil(math.log2(coefficient * math.sqrt(2.0) / epsilon))
+
     epsilon = 0.01
     row = projected_costs(stats, epsilon)
-    coefficient = bias_remainder(stats, 1.0, 0)
-    cutoff = math.ceil(math.log2(coefficient * math.sqrt(2.0) / epsilon))
-    assert row.std_cost_model == math.ceil(2.0 * 1.0 / epsilon**2) * 2.0**cutoff
+    assert row.std_cost_model == math.ceil(2.0 * 1.0 / epsilon**2) * 2.0 ** cutoff(epsilon)
     assert row.ratio == row.std_cost_model / row.mlmc_cost
-    # a sample floor high enough to bind everywhere fixes the cost exactly
-    floored = projected_costs(stats, epsilon, warmup_samples=10**6)
-    assert floored.mlmc_cost == 10**6 * (2.0 ** (cutoff + 1) - 2.0)
+    # at a coarse target the sample floor binds at every level (the largest
+    # allocation is ceil(2 eps^-2 sum_l 2^(-l/4) * 2^(-5/4)) = 223 < 300),
+    # which fixes the cost exactly
+    coarse = projected_costs(stats, 0.1)
+    assert cutoff(0.1) == 4
+    assert coarse.mlmc_cost == COMPARISON_WARMUP * (2.0 ** (cutoff(0.1) + 1) - 2.0)
 
 
 def test_projected_costs_tracks_epsilon():
@@ -211,9 +222,7 @@ def test_projected_matches_executed_run():
 
 
 def test_evppi_report_identity():
-    report = evppi_report(
-        synthetic1(), None, epsilon=0.05, n_evpi=20_000, stream=RandomStream(8)
-    )
+    report = evppi_report(synthetic1(), epsilon=0.05, n_evpi=20_000, stream=RandomStream(8))
     assert report.converged
     assert report.evppi == report.evpi - report.difference
     assert report.evppi_rms_error == math.sqrt(
@@ -227,12 +236,11 @@ def test_evppi_report_identity():
 
 
 def test_evppi_report_partition_handling():
-    with pytest.raises(ConfigError):
-        evppi_report(synthetic1(), (1,), epsilon=0.1, n_evpi=1000, stream=RandomStream(0))
     with pytest.raises(ValueError):
-        evppi_report(synthetic1(), None, epsilon=0.1, n_evpi=1, stream=RandomStream(0))
+        evppi_report(synthetic1(), epsilon=0.1, n_evpi=1, stream=RandomStream(0))
+    # the report runs on the model's own partition, chosen when it is built
     report = evppi_report(
-        BkocModel(), (7, 16), epsilon=100.0, n_evpi=5000, stream=RandomStream(9)
+        make_model("bkoc", outer=(7, 16)), epsilon=100.0, n_evpi=5000, stream=RandomStream(9)
     )
     assert report.evppi == report.evpi - report.difference
     assert report.difference > 0.0

@@ -109,6 +109,17 @@ def test_level_one_correction_equals_gap():
         np.testing.assert_array_equal(z, p)
 
 
+def test_all_outer_partition_has_zero_gap():
+    # with every variable outer there is no inner draw left (inner_dim 0):
+    # each payoff is constant in the inner index, so Z and P are exactly 0
+    model = BkocModel(GaussianModelSpec(outer_indices=range(1, 20)))
+    assert model.inner_dim == 0
+    for level in range(1, 7):
+        z, p = sample_level_batch(model, level, 500, RandomStream(70 + level))
+        assert z.shape == p.shape == (500,)
+        assert (z == 0.0).all() and (p == 0.0).all()
+
+
 def assert_exact_identities(z, p, f):
     """Check the bitwise identities of level draws z, p against their raw
     payoffs f; returns how many draws had all three argmax decisions agree."""

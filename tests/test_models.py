@@ -21,14 +21,24 @@ from voimc.models import (
     BKOC_STD_DEVS,
     AssumptionClass,
     GaussianModelSpec,
-    conditional_mean,
     load_model_config,
-    payoff,
-    sample_correlated_normals,
 )
 
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
+
+
+def point_payoffs(model, outer, inner):
+    """Every decision's payoff at one (outer, inner) point, through the
+    batch call with n = m = 1."""
+    x = np.asarray(outer, dtype=np.float64).reshape(1, model.outer_dim)
+    y = np.asarray(inner, dtype=np.float64).reshape(1, 1, model.inner_dim)
+    return model.payoffs(x, y)[0, 0]
+
+
+def point_conditional_means(model, outer):
+    """E[f_d | X = outer] of every decision at one outer point."""
+    return model.conditional_means(np.asarray(outer, dtype=np.float64).reshape(1, -1))[0]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -47,30 +57,21 @@ def test_batch_shapes(model):
 
 def test_synthetic_payoff_values():
     m1, m2, m3 = synthetic1(), synthetic2(), synthetic3()
-    assert payoff(m1, 1, [1.7], [0.3]) == 0.0
-    assert payoff(m1, 2, [1.7], [0.3]) == 2.0
-    assert payoff(m2, 2, [2.0], [0.5]) == 8.5
-    assert payoff(m3, 2, [0.5], [0.25]) == 0.25
-    assert payoff(m3, 2, [1.5], [0.0]) == 0.5
-    assert payoff(m3, 2, [-2.0], [0.0]) == -1.0
+    assert point_payoffs(m1, [1.7], [0.3])[0] == 0.0
+    assert point_payoffs(m1, [1.7], [0.3])[1] == 2.0
+    assert point_payoffs(m2, [2.0], [0.5])[1] == 8.5
+    assert point_payoffs(m3, [0.5], [0.25])[1] == 0.25
+    assert point_payoffs(m3, [1.5], [0.0])[1] == 0.5
+    assert point_payoffs(m3, [-2.0], [0.0])[1] == -1.0
 
 
 def test_synthetic_conditional_means():
     m2 = synthetic2()
-    assert conditional_mean(m2, 1, [3.0]) == 0.0
-    assert conditional_mean(m2, 2, [3.0]) == 27.0
+    assert point_conditional_means(m2, [3.0])[0] == 0.0
+    assert point_conditional_means(m2, [3.0])[1] == 27.0
     m3 = synthetic3()
-    assert conditional_mean(m3, 2, [0.99]) == 0.0
-    assert conditional_mean(m3, 2, [-1.75]) == -0.75
-
-
-def test_decision_index_validation():
-    m = synthetic1()
-    for bad in (0, 3, -1):
-        with pytest.raises(ValueError):
-            payoff(m, bad, [0.0], [0.0])
-        with pytest.raises(ValueError):
-            conditional_mean(m, bad, [0.0])
+    assert point_conditional_means(m3, [0.99])[1] == 0.0
+    assert point_conditional_means(m3, [-1.75])[1] == -0.75
 
 
 def test_assumption_classes():
@@ -102,12 +103,10 @@ def test_capability_probe():
         def payoffs(self, outer, inner):
             return inner.copy()
 
-    opaque = Opaque()
-    assert not opaque.has_analytic_conditional_mean
     with pytest.raises(CapabilityError):
-        opaque.conditional_means(np.zeros((1, 1)))
-    assert synthetic1().has_analytic_conditional_mean
-    assert BkocModel().has_analytic_conditional_mean
+        Opaque().conditional_means(np.zeros((1, 1)))
+    assert synthetic1().conditional_means(np.zeros((1, 1))).shape == (1, 2)
+    assert BkocModel().conditional_means(np.zeros((1, 2))).shape == (1, 2)
 
 
 def bkoc_payoffs_at_means():
@@ -128,13 +127,17 @@ def test_bkoc_payoff_at_means():
     outer = [BKOC_MEANS[i - 1] for i in model.spec.outer_indices]
     inner0 = sorted(set(range(19)) - {i - 1 for i in model.spec.outer_indices})
     inner = [BKOC_MEANS[i] for i in inner0]
-    assert payoff(model, 1, outer, inner) == pytest.approx(f1, rel=1e-12)
-    assert payoff(model, 2, outer, inner) == pytest.approx(f2, rel=1e-12)
+    assert point_payoffs(model, outer, inner)[0] == pytest.approx(f1, rel=1e-12)
+    assert point_payoffs(model, outer, inner)[1] == pytest.approx(f2, rel=1e-12)
 
 
 def test_joint_sampling_matches_moments():
-    spec = GaussianModelSpec()
-    x = sample_correlated_normals(spec, RandomStream(21), 1_000_000)
+    # with every variable outer, the outer draw is the joint draw of all 19
+    # in index order
+    model = make_model("bkoc", outer=range(1, 20))
+    assert (model.outer_dim, model.inner_dim) == (19, 0)
+    spec = model.spec
+    x = model.sample_outer(RandomStream(21), 1_000_000)
     assert x.shape == (1_000_000, 19)
     # four-sigma bands on the mean at n = 1e6
     sd = np.array(BKOC_STD_DEVS)
@@ -166,7 +169,14 @@ def test_bkoc_conditional_sampling_matches_law():
     x = np.array([[0.85, 0.7]])
     y = model.sample_inner(x, RandomStream(33), 400_000)[0]
     want_mean = model.inner_conditional_means(x)[0]
-    want_cov = model.inner_conditional_cov
+    # Schur complement of the outer block in the joint covariance
+    cov = model.spec.covariance_matrix()
+    outer0 = [i - 1 for i in model.spec.outer_indices]
+    inner0 = [i for i in range(19) if i not in outer0]
+    cov_io = cov[np.ix_(inner0, outer0)]
+    want_cov = cov[np.ix_(inner0, inner0)] - cov_io @ np.linalg.solve(
+        cov[np.ix_(outer0, outer0)], cov_io.T
+    )
     sd = np.sqrt(np.diag(want_cov))
     assert (np.abs(y.mean(axis=0) - want_mean) <= 4.0 * sd / np.sqrt(400_000)).all()
     np.testing.assert_allclose(np.diag(np.cov(y.T)), np.diag(want_cov), rtol=0.02)
@@ -231,6 +241,21 @@ def test_spec_validation():
         with pytest.raises(ConfigError):
             GaussianModelSpec(correlated_pairs=(bad,))
     assert GaussianModelSpec(outer_indices=(np.int64(5),)).outer_indices == (5,)
+    # numeric fields: booleans and strings are refused, not read as numbers
+    for bad in ("5000", True, None):
+        with pytest.raises(ConfigError):
+            GaussianModelSpec(lam=bad)
+    for bad in ((5, 7, "0.6"), (5, 7, True)):
+        with pytest.raises(ConfigError):
+            GaussianModelSpec(correlated_pairs=(bad,))
+    with pytest.raises(ConfigError):
+        GaussianModelSpec(means=(True,) + BKOC_MEANS[1:])
+    with pytest.raises(ConfigError):
+        GaussianModelSpec(std_devs="1" * 19)
+    with pytest.raises(ConfigError):
+        GaussianModelSpec(std_devs=("1.0",) + BKOC_STD_DEVS[1:])
+    spec = GaussianModelSpec(lam=np.float64(5000.0), means=(np.int64(2),) + BKOC_MEANS[1:])
+    assert (spec.lam, spec.means[0]) == (5000.0, 2.0)
     # a correlation cycle that no joint Gaussian admits
     with pytest.raises(ConfigError):
         GaussianModelSpec(correlated_pairs=((1, 2, 0.9), (2, 3, 0.9), (1, 3, -0.9)))
@@ -254,6 +279,11 @@ def test_make_model_registry():
     assert model.outer_dim == 4
     with pytest.raises(ConfigError):
         make_model("synthetic1", outer=(1,))
+    # partition values reach the spec check unconverted: none is truncated
+    # or read as an index
+    for bad in ([1.5], [True, 14], "14"):
+        with pytest.raises(ConfigError):
+            make_model("bkoc", outer=bad)
     with pytest.raises(ConfigError):
         make_model("nonesuch")
     with pytest.raises(ConfigError):

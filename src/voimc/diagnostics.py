@@ -22,16 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level, accumulate_p_level
+from .estimators import accumulate_level, accumulate_p_level, worker_pool
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
-
-# Warm-up size for driver runs launched by the comparison helpers. The
-# default driver warm-up is sized for one accurate run; a cost comparison
-# spans coarse targets where that much warm-up would dominate the measured
-# cost and flatten nothing, so these runs use a lighter one.
-COMPARISON_WARMUP = 300
 
 
 @dataclass(frozen=True)
@@ -149,27 +143,28 @@ def level_sweep(
         raise ConfigError("max_level must be at least 1")
     if n_per_level < 1_000:
         raise ConfigError("level sweeps need at least 1000 draws per level")
-    acc_p0 = MomentAccumulator()
-    accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, threads=threads)
-    rows = [
-        LevelStats(
-            level=0,
-            n=int(acc_p0.n),
-            mean_z=0.0,
-            var_z=0.0,
-            kurtosis_z=math.nan,
-            mean_p=float(acc_p0.mean),
-            var_p=float(acc_p0.variance()),
-            cost_per_sample=1,
-        )
-    ]
-    for level in range(1, int(max_level) + 1):
-        acc_z = MomentAccumulator()
-        acc_p = MomentAccumulator()
-        accumulate_level(
-            model, level, n_per_level, stream.split(level), acc_z, acc_p, threads=threads
-        )
-        rows.append(stats_from_accumulators(level, acc_z, acc_p))
+    with worker_pool(threads) as pool:
+        acc_p0 = MomentAccumulator()
+        accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, pool=pool)
+        rows = [
+            LevelStats(
+                level=0,
+                n=int(acc_p0.n),
+                mean_z=0.0,
+                var_z=0.0,
+                kurtosis_z=math.nan,
+                mean_p=float(acc_p0.mean),
+                var_p=float(acc_p0.variance()),
+                cost_per_sample=1,
+            )
+        ]
+        for level in range(1, int(max_level) + 1):
+            acc_z = MomentAccumulator()
+            acc_p = MomentAccumulator()
+            accumulate_level(
+                model, level, n_per_level, stream.split(level), acc_z, acc_p, pool=pool
+            )
+            rows.append(stats_from_accumulators(level, acc_z, acc_p))
     return rows
 
 

@@ -39,13 +39,16 @@ last block of a top-up) and changes the output bits.
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
-worker count.
+worker count. At one thread every block runs on the caller's thread; with
+more, blocks run on a pool of that many workers (see :func:`worker_pool`),
+which a whole run may share.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,19 +148,34 @@ def _best_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     return g[-1], g[:-1].T.copy().sum(axis=0)
 
 
+@contextmanager
+def worker_pool(threads: int, pool: Executor | None = None):
+    """The pool that blocks run on: ``pool`` when one is given, else a new pool
+    of ``threads`` workers that lasts the ``with`` block, else None at one
+    thread, where every block runs on the caller's thread and no thread is
+    started."""
+    if pool is not None or threads <= 1:
+        yield pool
+        return
+    with ThreadPoolExecutor(max_workers=threads) as own:
+        yield own
+
+
 def _map_blocks(
     kernel,
     model: DecisionModel,
     m: int,
     n: int,
     stream: RandomStream,
-    threads: int = 1,
+    pool: Executor | None = None,
     first_block: int = 0,
 ):
-    """Yield ``kernel(model, m, size, stream.split(block_index))`` for each
-    block of n outer draws with m inner draws each, in block order whatever
-    the worker count. Block sizes depend only on the model's dimensions and
-    m; block indices count up from ``first_block``."""
+    """Results of ``kernel(model, m, size, stream.split(block_index))`` for
+    each block of n outer draws with m inner draws each, in block order. With
+    a pool every block is submitted at once and runs on its workers; without
+    one, each block runs on the caller's thread as the results are read.
+    Block sizes depend only on the model's dimensions and m; block indices
+    count up from ``first_block``."""
     width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
     size = max(1, min(_BLOCK_VALUE_BUDGET // width, _MAX_BLOCK_OUTER))
     plan = [
@@ -168,14 +186,7 @@ def _map_blocks(
         idx, block_size = item
         return kernel(model, m, block_size, stream.split(idx))
 
-    if threads <= 1 or len(plan) <= 1:
-        yield from map(run, plan)
-        return
-    # Waves bound how many finished blocks wait in memory at once.
-    wave = threads * 2
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i in range(0, len(plan), wave):
-            yield from pool.map(run, plan[i : i + wave])
+    return map(run, plan) if pool is None else pool.map(run, plan)
 
 
 def accumulate_level(
@@ -187,17 +198,19 @@ def accumulate_level(
     acc_p: MomentAccumulator,
     threads: int = 1,
     first_block: int = 0,
+    pool: Executor | None = None,
 ) -> int:
     """Fold n fresh level-l draws into the accumulators; returns the next
     free block index. Substreams are ``stream.split(block_index)``, so a
     later top-up that continues from the returned index extends the same
-    deterministic sequence."""
+    deterministic sequence. The blocks run on ``pool`` when one is given."""
     if level < 1:
         raise ValueError("the level correction is defined for levels >= 1")
-    for z, p in _map_blocks(_level_block, model, 1 << level, n, stream, threads, first_block):
-        acc_z.add_block(z)
-        acc_p.add_block(p)
-        first_block += 1
+    with worker_pool(threads, pool) as workers:
+        for z, p in _map_blocks(_level_block, model, 1 << level, n, stream, workers, first_block):
+            acc_z.add_block(z)
+            acc_p.add_block(p)
+            first_block += 1
     return first_block
 
 
@@ -209,13 +222,15 @@ def accumulate_p_level(
     acc_p: MomentAccumulator,
     threads: int = 1,
     first_block: int = 0,
+    pool: Executor | None = None,
 ) -> int:
     """Fold n fresh draws of P_l into ``acc_p`` (level 0 allowed)."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    for p in _map_blocks(_p_block, model, 1 << level, n, stream, threads, first_block):
-        acc_p.add_block(p)
-        first_block += 1
+    with worker_pool(threads, pool) as workers:
+        for p in _map_blocks(_p_block, model, 1 << level, n, stream, workers, first_block):
+            acc_p.add_block(p)
+            first_block += 1
     return first_block
 
 
@@ -233,7 +248,9 @@ def sample_level_batch(
         raise ValueError("the level correction is defined for levels >= 1")
     if n <= 0:
         return np.empty(0), np.empty(0)
-    zs, ps = zip(*_map_blocks(_level_block, model, 1 << level, n, stream, threads, first_block))
+    with worker_pool(threads) as workers:
+        blocks = _map_blocks(_level_block, model, 1 << level, n, stream, workers, first_block)
+        zs, ps = zip(*blocks)
     return np.concatenate(zs), np.concatenate(ps)
 
 
@@ -249,9 +266,10 @@ def evpi_mc(model: DecisionModel, n: int, stream: RandomStream, threads: int = 1
         raise ValueError("sample count must be positive")
     acc_best = MomentAccumulator()
     block_sums = []
-    for best, sums in _map_blocks(_best_block, model, 1, n, stream, threads):
-        acc_best.add_block(best)
-        block_sums.append(sums)
+    with worker_pool(threads) as workers:
+        for best, sums in _map_blocks(_best_block, model, 1, n, stream, workers):
+            acc_best.add_block(best)
+            block_sums.append(sums)
     best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
     value = acc_best.mean - best_of_means
     std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
@@ -275,8 +293,9 @@ def nested_mc(
         raise ValueError("sample counts must be positive")
     m = int(n_inner)
     acc = MomentAccumulator()
-    for p in _map_blocks(_p_block, model, m, n_outer, stream, threads):
-        acc.add_block(p)
+    with worker_pool(threads) as workers:
+        for p in _map_blocks(_p_block, model, m, n_outer, stream, workers):
+            acc.add_block(p)
     std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
     return Estimate(
         value=acc.mean, std_error=std_error, n=int(n_outer), cost=float(n_outer) * float(m)

@@ -7,14 +7,19 @@ most eps^2/2 and squared bias at most eps^2/2. A run is set by three
 values, the ones in :class:`MlmcConfig`: the target eps, the warm-up draws
 per new level and the finest level allowed.
 
-The control loop is sequential. It starts from warm-up draws at levels
-1..3. Each pass recomputes pooled per-level statistics, refits decay rates,
-and derives the optimal sample allocation; if any level is short, it is
-topped up and the loop repeats. Only once every allocation is satisfied
-under the current variance estimates is the bias remainder tested, and a
-failing test appends one finer level with warm-up draws. Sampling inside a
-level fans out over block substreams, so the whole run is reproducible bit
-for bit from (model, config, seed).
+The control loop is sequential. It starts from 1,000 warm-up draws (by
+default) at levels 1..3. Each pass recomputes pooled per-level statistics,
+refits decay rates, floors each variance from level 2 on at half the
+previous level's decayed at the fitted beta, and derives the optimal sample
+allocation; if any level is short, it is topped up and the loop repeats.
+Only once every allocation is satisfied under the current variance
+estimates is the bias remainder tested, and a failing test appends one finer
+level with warm-up draws. Sampling inside a level fans out over block
+substreams, and each level folds its blocks in block order, so the whole run
+is reproducible bit for bit from (model, config, seed). With more than one
+thread a run keeps one bounded worker pool: a top-up pass puts all its short
+levels on it at once, and the EVPI of an EVPPI report runs beside the driver
+on the same pool.
 
 The reports built on the driver's arithmetic live here too: the multilevel
 cost against the modeled standard-MC cost, either from driver runs over
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +44,7 @@ from .diagnostics import (
     stats_from_accumulators,
 )
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level, evpi_mc
+from .estimators import accumulate_level, evpi_mc, worker_pool
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -53,23 +59,24 @@ _KURTOSIS_WARNING = 100.0
 # extrapolates from the last three level means.
 _INITIAL_LEVELS = 3
 
-# Warm-up size, and allocation floor, of the cost reports. The default
-# driver warm-up is sized for one accurate run; a cost comparison spans
-# coarse targets where that much warm-up would dominate the measured cost
-# and flatten nothing, so these reports use a lighter one.
+# Warm-up size, and allocation floor, of the cost reports. A cost comparison
+# spans coarse targets where the driver's default warm-up would dominate the
+# measured cost and flatten nothing, so these reports use a lighter one.
 COMPARISON_WARMUP = 300
 
 
 @dataclass(frozen=True)
 class MlmcConfig:
     """Driver settings: the RMS accuracy target ``epsilon``, the draws each
-    new level gets before its variance is trusted (``warmup_samples``, also
+    new level gets before its variance is used (``warmup_samples``, also
     the per-level allocation when every variance is zero), and the finest
     level the driver may add (``max_level``, at least the 3 warm-up levels).
+    The warm-up is small; a level still thinly sampled is guarded by the
+    variance floor extrapolated from the level below it.
     """
 
     epsilon: float
-    warmup_samples: int = 10_000
+    warmup_samples: int = 1_000
     max_level: int = 25
 
     def __post_init__(self):
@@ -110,7 +117,7 @@ class MlmcResult:
 
 
 def optimal_allocation(
-    stats: Sequence[LevelStats], epsilon: float, min_allocation: int = 10_000
+    stats: Sequence[LevelStats], epsilon: float, min_allocation: int
 ) -> tuple[list[int], bool]:
     """Per-level sample counts that hit variance eps^2/2 at minimal cost.
 
@@ -152,6 +159,23 @@ def _driver_rates(stats: Sequence[LevelStats]) -> tuple[float, float]:
     return 1.0, math.nan
 
 
+def _floored_variances(stats: Sequence[LevelStats], beta: float) -> list[LevelStats]:
+    """The rows the allocation sees: from the second level on, each variance
+    is at least half the previous row's variance decayed at the fitted beta,
+    V_l >= V_{l-1} 2^-beta / 2 (Giles, Acta Numerica 2015), so a thinly
+    sampled deep level whose few draws under-measure its variance is not
+    under-allocated. The floor cascades from the coarsest level and never
+    lowers a variance; with no fitted beta the rows pass unchanged."""
+    rows = list(stats)
+    if not math.isfinite(beta):
+        return rows
+    for i in range(1, len(rows)):
+        floor = 0.5 * rows[i - 1].var_z * 2.0**-beta
+        if floor > rows[i].var_z:
+            rows[i] = dataclasses.replace(rows[i], var_z=floor)
+    return rows
+
+
 class _LevelState:
     """Pooled accumulators plus the next free block index for one level."""
 
@@ -168,19 +192,28 @@ def mlmc_run(
     config: MlmcConfig,
     stream: RandomStream,
     threads: int = 1,
+    pool: Executor | None = None,
 ) -> MlmcResult:
     """Run the adaptive multilevel estimator to the configured accuracy.
 
     Returns a result whose ``converged`` flag is False when max_level was
     reached (or the loop safety valve tripped) before the bias target; the
-    partial diagnostics are still filled in.
+    partial diagnostics are still filled in. The blocks run on ``pool`` when
+    one is given, else on a pool of ``threads`` workers kept for the run.
     """
+    with worker_pool(threads, pool) as workers:
+        return _drive(model, config, stream, workers)
+
+
+def _drive(
+    model: DecisionModel, config: MlmcConfig, stream: RandomStream, pool: Executor | None
+) -> MlmcResult:
     states: dict[int, _LevelState] = {}
     warnings: list[str] = []
     history: list[dict] = []
 
-    def grow(level: int, extra: int) -> None:
-        state = states.setdefault(level, _LevelState())
+    def grow(level: int, extra: int, blocks_pool: Executor | None) -> None:
+        state = states[level]
         state.next_block = accumulate_level(
             model,
             level,
@@ -188,9 +221,23 @@ def mlmc_run(
             stream.split(level),
             state.acc_z,
             state.acc_p,
-            threads=threads,
             first_block=state.next_block,
+            pool=blocks_pool,
         )
+
+    def grow_all(extra: dict[int, int]) -> None:
+        """Draw ``extra[level]`` more samples at each level. A lone level
+        spreads its blocks over the pool; several levels go on the pool at
+        once, one task per level that runs its blocks in block order, the
+        costliest first."""
+        for level in extra:
+            states.setdefault(level, _LevelState())
+        if pool is None or len(extra) == 1:
+            for level, n in extra.items():
+                grow(level, n, pool)
+            return
+        tasks = sorted(extra.items(), key=lambda item: -(item[1] << item[0]))
+        list(pool.map(lambda item: grow(*item, None), tasks))
 
     def pooled_stats() -> list[LevelStats]:
         return [
@@ -198,8 +245,7 @@ def mlmc_run(
             for level in sorted(states)
         ]
 
-    for level in range(1, _INITIAL_LEVELS + 1):
-        grow(level, config.warmup_samples)
+    grow_all({level: config.warmup_samples for level in range(1, _INITIAL_LEVELS + 1)})
 
     converged = False
     alpha, beta = math.nan, math.nan
@@ -210,7 +256,7 @@ def mlmc_run(
         stats = pooled_stats()
         alpha, beta = _driver_rates(stats)
         targets, degenerate = optimal_allocation(
-            stats, config.epsilon, min_allocation=config.warmup_samples
+            _floored_variances(stats, beta), config.epsilon, config.warmup_samples
         )
         if degenerate and not degenerate_warned:
             warnings.append(
@@ -231,8 +277,7 @@ def mlmc_run(
         if shortfall:
             record["action"] = "top_up"
             history.append(record)
-            for level, extra in shortfall.items():
-                grow(level, extra)
+            grow_all(shortfall)
             continue
         finest = stats[-1].level
         remainder = bias_remainder(stats, alpha, finest)
@@ -251,7 +296,7 @@ def mlmc_run(
             break
         record["action"] = "extend"
         history.append(record)
-        grow(finest + 1, config.warmup_samples)
+        grow_all({finest + 1: config.warmup_samples})
     else:
         warnings.append(
             f"control loop stopped after {_MAX_ITERATIONS} passes without converging"
@@ -316,18 +361,19 @@ def cost_comparison(
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("accuracy targets must be strictly descending")
     rows = []
-    for k, epsilon in enumerate(eps):
-        config = MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP)
-        result = mlmc_run(model, config, stream.split(k), threads=threads)
-        _, std_cost = standard_cost(result.level_stats, result.fitted_alpha, epsilon)
-        rows.append(
-            ComparisonRow(
-                epsilon=epsilon,
-                mlmc_cost=float(result.total_cost),
-                std_cost_model=std_cost,
-                ratio=std_cost / float(result.total_cost),
+    with worker_pool(threads) as pool:
+        for k, epsilon in enumerate(eps):
+            config = MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP)
+            result = mlmc_run(model, config, stream.split(k), pool=pool)
+            _, std_cost = standard_cost(result.level_stats, result.fitted_alpha, epsilon)
+            rows.append(
+                ComparisonRow(
+                    epsilon=epsilon,
+                    mlmc_cost=float(result.total_cost),
+                    std_cost_model=std_cost,
+                    ratio=std_cost / float(result.total_cost),
+                )
             )
-        )
     return rows
 
 
@@ -404,14 +450,22 @@ def evppi_report(
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
+    With more than one thread both share one pool: the EVPI is one task that
+    runs its blocks in order on one worker, beside the driver's blocks.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """
     if n_evpi < 2:
         raise ConfigError("the EVPI estimate needs at least two samples")
     config = MlmcConfig(epsilon=float(epsilon))
-    evpi = evpi_mc(model, int(n_evpi), stream.split(0), threads=threads)
-    result = mlmc_run(model, config, stream.split(1), threads=threads)
+    with worker_pool(threads) as pool:
+        if pool is None:
+            evpi = evpi_mc(model, int(n_evpi), stream.split(0))
+            result = mlmc_run(model, config, stream.split(1))
+        else:
+            evpi_task = pool.submit(evpi_mc, model, int(n_evpi), stream.split(0))
+            result = mlmc_run(model, config, stream.split(1), pool=pool)
+            evpi = evpi_task.result()
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
     difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
     evppi_rms = math.sqrt(evpi.std_error**2 + difference_rms**2)

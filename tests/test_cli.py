@@ -4,9 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from voimc import estimators
 from voimc.cli import main
 from voimc.models import BKOC_MEANS
 
@@ -122,6 +124,47 @@ def test_run_is_byte_identical_across_runs_and_threads(tmp_path):
         assert main([*argv, *extra, "--output", str(out)]) == 0
         paths.append(out.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+# A top-up pass puts several levels on the pool at once, and the EVPI runs
+# beside the driver on the same pool; neither may change a byte.
+SCHEDULED = [
+    ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "20000"],
+    ["run", "--model", "synthetic1", "--epsilon", "0.01"],
+]
+
+
+@pytest.mark.parametrize("argv", SCHEDULED, ids=["evppi-bkoc", "run-synthetic1"])
+def test_output_is_byte_identical_at_1_2_and_3_threads(tmp_path, argv):
+    blobs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert main([*argv, "--threads", str(threads), "--output", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_one_pool_per_run_and_no_thread_at_one_thread(tmp_path, monkeypatch):
+    built = []
+
+    class CountingPool(estimators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
+    for command in SCHEDULED:
+        built.clear()
+        assert run_cli(tmp_path, *command, "--threads", "2")[0] == 0
+        assert built == [2]
+
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} started at --threads 1")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for command in [*SCHEDULED, ["levels", "--model", "synthetic1", "--max-level", "3"],
+                    ["compare", "--model", "synthetic1", "--epsilon", "0.05"]]:
+        assert run_cli(tmp_path, *command, "--threads", "1")[0] == 0
 
 
 def test_run_csv_round_trips(tmp_path):
@@ -326,14 +369,14 @@ LEVELS = ["levels", "--model", "synthetic2", "--max-level", "6", "--n", "2000", 
 PINNED_OUTPUTS = [
     pytest.param(
         [*RUN, "--format", "json"],
-        "e3842e0182936b8e487f459f9899ba2c0de6e071c09aad7d9d02b60b3c343a6d",
-        "run synthetic1 epsilon=0.01 estimate=0.158522 converged levels=1..5 cost=620000",
+        "8bbaaa8dd016457c1d7b620bdbe2b70174f8b83a2c92fc57d84c4157b659ec01",
+        "run synthetic1 epsilon=0.01 estimate=0.166394 converged levels=1..5 cost=63736",
         id="run-json",
     ),
     pytest.param(
         [*RUN, "--format", "csv"],
-        "378edf48b98c2ee9d12f96d06dec1e6f21c9c1c3001321a885764aa0c8db87af",
-        "run synthetic1 epsilon=0.01 estimate=0.158522 converged levels=1..5 cost=620000",
+        "ed030b9c19c776f8a9b7644655a083d48d29d97f2a4ce75a699178ddd4b5be04",
+        "run synthetic1 epsilon=0.01 estimate=0.166394 converged levels=1..5 cost=63736",
         id="run-csv",
     ),
     pytest.param(
@@ -358,8 +401,8 @@ PINNED_OUTPUTS = [
     pytest.param(
         ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "20000",
          "--seed", "1", "--threads", "2"],
-        "c0934b755e667edc65206154cdb7f43ab248b92347be8a46759e6b0473761ea4",
-        "evppi bkoc evpi=1454.57 difference=582.425 evppi=872.145",
+        "b7d897e089a1aee1f9df964f27b948e84a9e1a425ceae4f67e53675fbf6e6021",
+        "evppi bkoc evpi=1454.57 difference=566.405 evppi=888.165",
         id="evppi-json",
     ),
 ]

@@ -15,7 +15,7 @@ from voimc import (
 )
 from voimc.diagnostics import LevelStats, bias_remainder, stats_from_accumulators
 from voimc.estimators import accumulate_level
-from voimc.mlmc import MlmcConfig, mlmc_run, optimal_allocation
+from voimc.mlmc import MlmcConfig, _floored_variances, mlmc_run, optimal_allocation
 from voimc.models import AssumptionClass
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
@@ -50,14 +50,14 @@ def test_config_validation():
 
 def test_allocation_known_case():
     stats = [ls(1, var_z=1.0), ls(2, var_z=0.25)]
-    counts, degenerate = optimal_allocation(stats, epsilon=0.1)
+    counts, degenerate = optimal_allocation(stats, epsilon=0.1, min_allocation=10_000)
     assert counts == [342, 121]
     assert not degenerate
 
 
 def test_allocation_single_level_reduces_to_plain_mc():
     # one level: N = ceil(2 V / eps^2), independent of the cost
-    (count,), _ = optimal_allocation([ls(3, var_z=0.5)], epsilon=0.05)
+    (count,), _ = optimal_allocation([ls(3, var_z=0.5)], epsilon=0.05, min_allocation=10_000)
     assert count == math.ceil(2.0 * 0.5 / 0.05**2)
 
 
@@ -67,13 +67,15 @@ def test_allocation_meets_variance_target():
         k = int(rng.integers(1, 8))
         stats = [ls(l + 1, var_z=float(rng.uniform(0.01, 2.0))) for l in range(k)]
         eps = float(rng.uniform(0.01, 0.5))
-        counts, _ = optimal_allocation(stats, eps)
+        counts, _ = optimal_allocation(stats, eps, min_allocation=10_000)
         total = math.fsum(s.var_z / n for s, n in zip(stats, counts))
         assert total <= eps * eps / 2.0 * (1.0 + 1e-12)
 
 
 def test_allocation_degenerate_and_invalid():
-    counts, degenerate = optimal_allocation([ls(1, var_z=0.0), ls(2, var_z=0.0)], 0.1)
+    counts, degenerate = optimal_allocation(
+        [ls(1, var_z=0.0), ls(2, var_z=0.0)], 0.1, min_allocation=10_000
+    )
     assert degenerate
     assert counts == [10_000, 10_000]
     counts, degenerate = optimal_allocation(
@@ -81,18 +83,61 @@ def test_allocation_degenerate_and_invalid():
     )
     assert counts == [500, 500]
     with pytest.raises(ValueError):
-        optimal_allocation([ls(1, var_z=math.nan)], 0.1)
+        optimal_allocation([ls(1, var_z=math.nan)], 0.1, min_allocation=10_000)
     with pytest.raises(ValueError):
-        optimal_allocation([], 0.1)
+        optimal_allocation([], 0.1, min_allocation=10_000)
     with pytest.raises(ValueError):
-        optimal_allocation([ls(1)], 0.0)
+        optimal_allocation([ls(1)], 0.0, min_allocation=10_000)
 
 
 def test_zero_variance_level_gets_no_extra_samples():
-    counts, degenerate = optimal_allocation([ls(1, var_z=1.0), ls(2, var_z=0.0)], 0.1)
+    counts, degenerate = optimal_allocation(
+        [ls(1, var_z=1.0), ls(2, var_z=0.0)], 0.1, min_allocation=10_000
+    )
     assert not degenerate
     assert counts[1] == 0
     assert counts[0] == math.ceil(2.0 / 0.01)
+
+
+def test_variance_floor_lifts_a_thin_deep_level():
+    # level 3 holds only its 1,000 warm-up draws and measured a tiny variance;
+    # the floor V_3 >= V_2 2^-beta / 2 takes over and its allocation rises
+    beta = 1.5
+    stats = [
+        ls(1, var_z=1.0, n=60_000),
+        ls(2, var_z=2.0**-beta, n=30_000),
+        ls(3, var_z=1e-9, n=1_000),
+    ]
+    floored = _floored_variances(stats, beta)
+    assert [s.var_z for s in floored[:2]] == [1.0, 2.0**-beta]
+    assert floored[2].var_z == 0.5 * 2.0**-beta * 2.0**-beta
+    assert [(s.level, s.n, s.cost_per_sample) for s in floored] == [
+        (s.level, s.n, s.cost_per_sample) for s in stats
+    ]
+    raw, _ = optimal_allocation(stats, 0.01, min_allocation=1_000)
+    counts, _ = optimal_allocation(floored, 0.01, min_allocation=1_000)
+    root_vc = math.fsum(math.sqrt(s.var_z * s.cost_per_sample) for s in floored)
+    assert counts[2] == math.ceil(2.0 / 0.01**2 * root_vc * math.sqrt(floored[2].var_z / 8.0))
+    assert raw[2] < 1_000 < counts[2]
+    # the floor cascades: a level above a floored one is floored from it
+    deep = _floored_variances([*stats, ls(4, var_z=0.0)], beta)
+    assert deep[3].var_z == 0.5 * deep[2].var_z * 2.0**-beta
+    # with no fitted beta the rows pass unchanged
+    assert _floored_variances(stats, math.nan) == stats
+
+
+def test_variance_floor_never_lowers_an_allocation():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        k = int(rng.integers(1, 9))
+        stats = [ls(l + 1, var_z=float(10.0 ** rng.uniform(-8, 0))) for l in range(k)]
+        beta = float(rng.uniform(-0.5, 3.0))
+        eps = float(10.0 ** rng.uniform(-3, -1))
+        floored = _floored_variances(stats, beta)
+        assert all(f.var_z >= s.var_z for f, s in zip(floored, stats))
+        raw, _ = optimal_allocation(stats, eps, min_allocation=1_000)
+        counts, _ = optimal_allocation(floored, eps, min_allocation=1_000)
+        assert all(c >= r for c, r in zip(counts, raw))
 
 
 def test_bias_remainder_geometric_tail():

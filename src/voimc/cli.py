@@ -260,9 +260,7 @@ plot "{csv}" using 1:($1*$1*$2) with linespoints title "eps^2 x multilevel cost"
 """
 
 
-def _emit_plot(args, path: Path, template: str) -> Path:
-    if getattr(args, "format", None) == "json" or path.suffix == ".json":
-        raise ConfigError("--emit-plot-script needs the csv format")
+def _emit_plot(path: Path, template: str) -> Path:
     script = path.with_suffix(path.suffix + ".gnuplot")
     script.write_text(template.format(csv=path.name))
     return script
@@ -304,7 +302,7 @@ def _write_output(
         write_csv(path, columns, rows)
     note = ""
     if plot is not None and args.emit_plot_script:
-        note = f" plot={_emit_plot(args, path, plot)}"
+        note = f" plot={_emit_plot(path, plot)}"
     print(f"{summary} -> {path}{note}")
     if failure is not None:
         _emit_error("non_convergence", f"{failure}; partial results written to {path}")
@@ -450,6 +448,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _positive(args.threads, "--threads")
+        # Refused before any sampling, so that exit 3 writes no file.
+        if getattr(args, "emit_plot_script", False) and (
+            args.format == "json" or Path(args.output or "").suffix == ".json"
+        ):
+            raise ConfigError("--emit-plot-script needs the csv format")
         return _COMMANDS[args.command](args)
     except VoimcError as exc:
         _emit_error("config", str(exc))

@@ -41,7 +41,9 @@ Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
 worker count. At one thread every block runs on the caller's thread; with
 more, blocks run on a pool of that many workers (see :func:`worker_pool`),
-which a whole run may share.
+which a whole run may share. The level folds, :func:`accumulate_level` and
+:func:`accumulate_p_level`, take that pool from their caller; the other
+batch routines take a thread count.
 """
 
 from __future__ import annotations
@@ -72,23 +74,6 @@ class Estimate:
     std_error: float
     n: int
     cost: float
-
-
-def antithetic_terms(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-decision half and full averages of a fine-level payoff block.
-
-    ``f`` has shape (n, m, D) with m even. Returns ``(mean_a, mean_b,
-    mean_full)``, each (n, D), where mean_full is derived from the same half
-    sums, so 1/2 (mean_a + mean_b) equals mean_full to the last bit when m is
-    a power of two.
-    """
-    m = f.shape[1]
-    if m < 2 or m % 2:
-        raise ValueError("antithetic halves need an even number of inner samples")
-    half = m // 2
-    sum_a = f[:, :half, :].sum(axis=1)
-    sum_b = f[:, half:, :].sum(axis=1)
-    return sum_a / half, sum_b / half, (sum_a + sum_b) / m
 
 
 def _payoffs_with_best(
@@ -196,21 +181,20 @@ def accumulate_level(
     stream: RandomStream,
     acc_z: MomentAccumulator,
     acc_p: MomentAccumulator,
-    threads: int = 1,
     first_block: int = 0,
     pool: Executor | None = None,
 ) -> int:
     """Fold n fresh level-l draws into the accumulators; returns the next
     free block index. Substreams are ``stream.split(block_index)``, so a
     later top-up that continues from the returned index extends the same
-    deterministic sequence. The blocks run on ``pool`` when one is given."""
+    deterministic sequence. The blocks run on ``pool``, or on the caller's
+    thread when it is None."""
     if level < 1:
         raise ValueError("the level correction is defined for levels >= 1")
-    with worker_pool(threads, pool) as workers:
-        for z, p in _map_blocks(_level_block, model, 1 << level, n, stream, workers, first_block):
-            acc_z.add_block(z)
-            acc_p.add_block(p)
-            first_block += 1
+    for z, p in _map_blocks(_level_block, model, 1 << level, n, stream, pool, first_block):
+        acc_z.add_block(z)
+        acc_p.add_block(p)
+        first_block += 1
     return first_block
 
 
@@ -220,18 +204,14 @@ def accumulate_p_level(
     n: int,
     stream: RandomStream,
     acc_p: MomentAccumulator,
-    threads: int = 1,
-    first_block: int = 0,
     pool: Executor | None = None,
-) -> int:
-    """Fold n fresh draws of P_l into ``acc_p`` (level 0 allowed)."""
+) -> None:
+    """Fold n fresh draws of P_l into ``acc_p`` (level 0 allowed), on
+    ``pool`` or, when it is None, on the caller's thread."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    with worker_pool(threads, pool) as workers:
-        for p in _map_blocks(_p_block, model, 1 << level, n, stream, workers, first_block):
-            acc_p.add_block(p)
-            first_block += 1
-    return first_block
+    for p in _map_blocks(_p_block, model, 1 << level, n, stream, pool):
+        acc_p.add_block(p)
 
 
 def sample_level_batch(

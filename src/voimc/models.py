@@ -10,7 +10,6 @@ are vectorized: ``n`` outer draws at a time, ``m`` inner draws per outer draw.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import numbers
 from abc import ABC, abstractmethod
@@ -23,18 +22,6 @@ from .errors import CapabilityError, ConfigError
 from .streams import RandomStream
 
 
-class AssumptionClass(enum.Enum):
-    """How a model relates to the regularity conditions behind the O(2^(-3l/2))
-    variance decay of the level correction: satisfying all of them, violating
-    the bounded-density condition (A2), violating the bounded-conditional-
-    moments condition (A3), or unclassified."""
-
-    SATISFIES_ALL = "satisfies_all"
-    VIOLATES_A2 = "violates_a2"
-    VIOLATES_A3 = "violates_a3"
-    UNKNOWN = "unknown"
-
-
 class DecisionModel(ABC):
     """Interface shared by all decision models.
 
@@ -43,17 +30,15 @@ class DecisionModel(ABC):
     * ``name``: registry name used by the CLI.
     * ``decision_count``: number of decisions D (payoff functions).
     * ``outer_dim`` / ``inner_dim``: width of the X and Y vectors.
-    * ``assumption_class``: see :class:`AssumptionClass`.
-    * ``conditional_variance_sum``: sum over decisions of E[Var[f_d(X,Y)|X]]
-      when known in closed form, else None. Used by variance-bound checks.
+
+    A model whose E[f_d | X] is known in closed form also overrides
+    :meth:`conditional_means`.
     """
 
     name: str
     decision_count: int
     outer_dim: int
     inner_dim: int
-    assumption_class: AssumptionClass
-    conditional_variance_sum: float | None = None
 
     @abstractmethod
     def sample_outer(self, stream: RandomStream, n: int) -> np.ndarray:
@@ -109,16 +94,13 @@ class SyntheticModel(DecisionModel):
         name: str,
         shifts: Sequence[Callable[[np.ndarray], np.ndarray]],
         noise: Sequence[float],
-        assumption_class: AssumptionClass,
     ):
         if len(shifts) != len(noise) or not shifts:
             raise ValueError("one shift and one noise coefficient per decision")
         self.name = name
         self.decision_count = len(shifts)
-        self.assumption_class = assumption_class
         self._shifts = tuple(shifts)
         self._noise = tuple(float(c) for c in noise)
-        self.conditional_variance_sum = float(sum(c * c for c in self._noise))
 
     def sample_outer(self, stream: RandomStream, n: int) -> np.ndarray:
         return stream.normals((int(n), 1))
@@ -156,20 +138,18 @@ def _soft_shrink(x: np.ndarray) -> np.ndarray:
 
 def synthetic1() -> SyntheticModel:
     """f_1 = 0, f_2 = X + Y. Smooth conditional mean, well-behaved tails."""
-    return SyntheticModel("synthetic1", (_zero, lambda x: x), (0.0, 1.0), AssumptionClass.SATISFIES_ALL)
+    return SyntheticModel("synthetic1", (_zero, lambda x: x), (0.0, 1.0))
 
 
 def synthetic2() -> SyntheticModel:
     """f_1 = 0, f_2 = X^3 + Y. Cubic conditional mean with unbounded growth."""
-    return SyntheticModel(
-        "synthetic2", (_zero, lambda x: x**3), (0.0, 1.0), AssumptionClass.VIOLATES_A3
-    )
+    return SyntheticModel("synthetic2", (_zero, lambda x: x**3), (0.0, 1.0))
 
 
 def synthetic3() -> SyntheticModel:
     """f_1 = 0, f_2 piecewise linear in X plus noise; the two decisions tie on
     the whole interval |X| <= 1."""
-    return SyntheticModel("synthetic3", (_zero, _soft_shrink), (0.0, 1.0), AssumptionClass.VIOLATES_A2)
+    return SyntheticModel("synthetic3", (_zero, _soft_shrink), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +284,7 @@ class BkocModel(DecisionModel):
     partition and any positive-definite pair list is handled.
     """
 
-    assumption_class = AssumptionClass.UNKNOWN
     decision_count = 2
-    conditional_variance_sum = None
 
     def __init__(self, spec: GaussianModelSpec | None = None):
         self.spec = spec if spec is not None else GaussianModelSpec()
@@ -334,32 +312,19 @@ class BkocModel(DecisionModel):
             np.linalg.cholesky(self._cond_cov) if self.inner_dim else np.zeros((0, 0))
         )
 
-        self._terms = tuple(
-            tuple((self.spec.lam if scale == "lam" else float(scale), idx) for scale, idx in terms)
-            for terms in _BKOC_TERMS_RAW
-        )
-        # Per term: positions of its factors in the outer vector vs the inner block.
+        # Per decision and term: the coefficient, and per factor in product
+        # order (outer position, None) or (None, inner position).
         outer_pos = {int(g): p for p, g in enumerate(outer0)}
         inner_pos = {int(g): p for p, g in enumerate(inner0)}
-        # Per term and factor, in product order: (outer position, None) or
-        # (None, inner position).
         self._factor_columns = tuple(
             tuple(
-                (coef, tuple((outer_pos.get(g), inner_pos.get(g)) for g in idx))
-                for coef, idx in terms
-            )
-            for terms in self._terms
-        )
-        self._cond_terms = tuple(
-            tuple(
                 (
-                    coef,
-                    tuple(outer_pos[g] for g in idx if g in outer_pos),
-                    tuple(inner_pos[g] for g in idx if g in inner_pos),
+                    self.spec.lam if scale == "lam" else float(scale),
+                    tuple((outer_pos.get(g), inner_pos.get(g)) for g in idx),
                 )
-                for coef, idx in terms
+                for scale, idx in terms
             )
-            for terms in self._terms
+            for terms in _BKOC_TERMS_RAW
         )
 
     def sample_outer(self, stream: RandomStream, n: int) -> np.ndarray:
@@ -415,12 +380,14 @@ class BkocModel(DecisionModel):
         m = self.inner_conditional_means(x)
         s = self._cond_cov
         out = np.empty((n, 2))
-        for d, terms in enumerate(self._cond_terms):
+        for d, terms in enumerate(self._factor_columns):
             total = np.zeros(n)
-            for coef, kpos, upos in terms:
+            for coef, factors in terms:
                 prod = np.full(n, coef)
-                for p in kpos:
-                    prod = prod * x[:, p]
+                for p, q in factors:
+                    if q is None:
+                        prod = prod * x[:, p]
+                upos = [q for _, q in factors if q is not None]
                 if len(upos) == 1:
                     prod = prod * m[:, upos[0]]
                 elif len(upos) == 2:
@@ -474,17 +441,9 @@ def load_model_config(path: str | Path) -> GaussianModelSpec:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    defaults = GaussianModelSpec()
-    kwargs = {
-        "means": data.get("means", defaults.means),
-        "std_devs": data.get("std_devs", defaults.std_devs),
-        "correlated_pairs": data.get("correlated_pairs", defaults.correlated_pairs),
-        "lam": data.get("lambda", defaults.lam),
-        "outer_indices": data.get("outer_indices", defaults.outer_indices),
-        "name": data.get("name", defaults.name),
-    }
-    if not isinstance(kwargs["name"], str):
+    if not isinstance(data.get("name", ""), str):
         raise ConfigError("config field 'name' must be a string")
+    kwargs = {("lam" if key == "lambda" else key): value for key, value in data.items()}
     try:
         return GaussianModelSpec(**kwargs)
     except ConfigError:

@@ -43,14 +43,17 @@ def allowance(seeds):
 
 
 def test_synthetic1_mse_within_eps_squared():
-    epsilon, seeds = 0.01, 200
+    # At eps 0.01 nearly all the cost is warm-up draws; at eps 0.002 the
+    # allocation binds, so a wrong variance target shows there.
+    seeds = 200
     truth = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
-    mse, bias = empirical_mse(synthetic1(), epsilon, seeds, truth)
-    ratio = mse / epsilon**2
-    assert ratio <= allowance(seeds), (
-        f"MSE/eps^2 {ratio:.3f} > {allowance(seeds):.3f} over {seeds} seeds "
-        f"(mean error {bias / epsilon:+.3f} eps)"
-    )
+    for epsilon in (0.01, 0.002):
+        mse, bias = empirical_mse(synthetic1(), epsilon, seeds, truth)
+        ratio = mse / epsilon**2
+        assert ratio <= allowance(seeds), (
+            f"eps {epsilon}: MSE/eps^2 {ratio:.3f} > {allowance(seeds):.3f} over {seeds} "
+            f"seeds (mean error {bias / epsilon:+.3f} eps)"
+        )
 
 
 def test_bkoc_mse_within_eps_squared():

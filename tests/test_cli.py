@@ -241,12 +241,18 @@ def test_levels_plot_script(tmp_path):
 
 
 def test_plot_script_rejected_for_json(tmp_path, capsys):
-    code, _ = run_cli(
-        tmp_path, "levels", "--model", "synthetic1", "--max-level", "2",
-        "--n", "2000", "--format", "json", "--emit-plot-script",
-    )
-    assert code == 3
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    # refused before any sampling: JSON by --format, or by the --output suffix
+    # with the default CSV format, and no file is left behind
+    levels = ["levels", "--model", "synthetic1", "--max-level", "2", "--n", "2000"]
+    for extra, out in (
+        (["--format", "json"], tmp_path / "out"),
+        (["--format", "json"], tmp_path / "x.json"),
+        ([], tmp_path / "out2.json"),
+    ):
+        code = main([*levels, *extra, "--emit-plot-script", "--output", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_csv(tmp_path):

@@ -21,12 +21,12 @@ from voimc.estimators import (
     _MAX_BLOCK_OUTER,
     accumulate_level,
     accumulate_p_level,
-    antithetic_terms,
     evpi_mc,
     nested_mc,
     sample_level_batch,
+    worker_pool,
 )
-from voimc.models import AssumptionClass, GaussianModelSpec
+from voimc.models import GaussianModelSpec
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
 MODEL_IDS = [m.name for m in ALL_MODELS]
@@ -39,7 +39,6 @@ def constant_gap_model():
         "constant_gap",
         (lambda x: np.zeros_like(x), lambda x: np.ones_like(x)),
         (1.0, 1.0),
-        AssumptionClass.SATISFIES_ALL,
     )
 
 
@@ -58,6 +57,24 @@ def replay_payoffs(model, level, n, stream):
     x = model.sample_outer(stream, n)
     y = model.sample_inner(x, stream, 1 << level)
     return model.payoffs(x, y)
+
+
+def antithetic_terms(f):
+    """Per-decision half and full averages of a fine-level payoff block.
+
+    An independent replay of the level kernel's reductions: ``f`` has shape
+    (n, m, D) with m even, and the result is ``(mean_a, mean_b, mean_full)``,
+    each (n, D), where mean_full is derived from the same half sums, so
+    1/2 (mean_a + mean_b) equals mean_full to the last bit when m is a power
+    of two.
+    """
+    m = f.shape[1]
+    if m < 2 or m % 2:
+        raise ValueError("antithetic halves need an even number of inner samples")
+    half = m // 2
+    sum_a = f[:, :half, :].sum(axis=1)
+    sum_b = f[:, half:, :].sum(axis=1)
+    return sum_a / half, sum_b / half, (sum_a + sum_b) / m
 
 
 def test_antithetic_terms_exact_identity():
@@ -238,7 +255,8 @@ def test_thread_count_does_not_change_results():
         moments = []
         for workers in (1, threads):
             acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
-            accumulate_level(model, level, n, RandomStream(19), acc_z, acc_p, threads=workers)
+            with worker_pool(workers) as pool:
+                accumulate_level(model, level, n, RandomStream(19), acc_z, acc_p, pool=pool)
             moments.append([(a.n, a.mean, a.m2, a.m3, a.m4) for a in (acc_z, acc_p)])
         assert moments[0] == moments[1]
 
@@ -362,7 +380,8 @@ def kernel_digests(model):
                 zp = sample_level_batch(model, level, n, RandomStream(level), threads=threads)
                 put("level_batch", *zp)
             acc = MomentAccumulator()
-            accumulate_p_level(model, level, n, RandomStream(level), acc, threads=threads)
+            with worker_pool(threads) as pool:
+                accumulate_p_level(model, level, n, RandomStream(level), acc, pool=pool)
             put("p_level", acc.n, acc.mean, acc.m2, acc.m3, acc.m4)
     for n, threads in runs(1):
         est = evpi_mc(model, n, RandomStream(n), threads=threads)

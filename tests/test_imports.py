@@ -1,4 +1,5 @@
-"""Package structure: module-level imports only, and no import cycles."""
+"""Package structure: module-level imports only, no import cycles, and a
+pinned public surface."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,67 @@ def test_package_import_graph_is_acyclic():
         visit(name)
     assert "diagnostics" in graph["mlmc"]
     assert "mlmc" not in graph["diagnostics"]
+
+
+# Each module's public functions and classes. A change that widens or
+# narrows the library has to change this set too.
+PUBLIC = {
+    "__init__": set(),
+    "cli": {"build_parser", "main", "write_csv", "write_json"},
+    "diagnostics": {
+        "LevelStats",
+        "RateEstimates",
+        "bias_remainder",
+        "fit_rates",
+        "level_sweep",
+        "standard_cost",
+        "stats_from_accumulators",
+    },
+    "errors": {"CapabilityError", "ConfigError", "InsufficientDataError", "VoimcError"},
+    "estimators": {
+        "Estimate",
+        "accumulate_level",
+        "accumulate_p_level",
+        "evpi_mc",
+        "nested_mc",
+        "sample_level_batch",
+        "worker_pool",
+    },
+    "mlmc": {
+        "ComparisonRow",
+        "EvppiReport",
+        "MlmcConfig",
+        "MlmcResult",
+        "cost_comparison",
+        "evppi_report",
+        "mlmc_run",
+        "optimal_allocation",
+        "projected_costs",
+    },
+    "models": {
+        "BkocModel",
+        "DecisionModel",
+        "GaussianModelSpec",
+        "SyntheticModel",
+        "load_model_config",
+        "make_model",
+        "synthetic1",
+        "synthetic2",
+        "synthetic3",
+    },
+    "moments": {"MomentAccumulator"},
+    "streams": {"RandomStream"},
+}
+
+
+def test_public_functions_and_classes_are_pinned():
+    found = {
+        name: {
+            node.name
+            for node in parse(name).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        }
+        for name in MODULES
+    }
+    assert found == PUBLIC

@@ -16,7 +16,6 @@ from voimc import (
 from voimc.diagnostics import LevelStats, bias_remainder, stats_from_accumulators
 from voimc.estimators import accumulate_level
 from voimc.mlmc import MlmcConfig, _floored_variances, mlmc_run, optimal_allocation
-from voimc.models import AssumptionClass
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -251,7 +250,6 @@ def test_degenerate_model_converges_to_zero():
         "constant_gap",
         (lambda x: np.zeros_like(x), lambda x: np.ones_like(x)),
         (1.0, 1.0),
-        AssumptionClass.SATISFIES_ALL,
     )
     result = mlmc_run(model, MlmcConfig(epsilon=0.01, warmup_samples=200), RandomStream(1))
     assert result.converged

@@ -19,7 +19,6 @@ from voimc import (
 from voimc.models import (
     BKOC_MEANS,
     BKOC_STD_DEVS,
-    AssumptionClass,
     GaussianModelSpec,
     load_model_config,
 )
@@ -74,25 +73,12 @@ def test_synthetic_conditional_means():
     assert point_conditional_means(m3, [-1.75])[1] == -0.75
 
 
-def test_assumption_classes():
-    assert synthetic1().assumption_class is AssumptionClass.SATISFIES_ALL
-    assert synthetic2().assumption_class is AssumptionClass.VIOLATES_A3
-    assert synthetic3().assumption_class is AssumptionClass.VIOLATES_A2
-    assert BkocModel().assumption_class is AssumptionClass.UNKNOWN
-
-
-def test_conditional_variance_sum():
-    assert synthetic1().conditional_variance_sum == 1.0
-    assert BkocModel().conditional_variance_sum is None
-
-
 def test_capability_probe():
     class Opaque(DecisionModel):
         name = "opaque"
         decision_count = 1
         outer_dim = 1
         inner_dim = 1
-        assumption_class = AssumptionClass.UNKNOWN
 
         def sample_outer(self, stream, n):
             return stream.normals((n, 1))

@@ -7,8 +7,10 @@ targets), and ``evppi`` (the EVPI / EVPPI summary for one partition).
 
 Every command writes one output file (CSV or JSON) and prints a one-line
 summary. Output bytes are a pure function of the flags and the seed; worker
-count and wall clock never leak into them. Exit codes: 0 success, 2 usage,
-3 configuration, 4 driver non-convergence (outputs are still written).
+count and wall clock never leak into them. Each command opens one worker
+pool (none at ``--threads 1``) and passes it to the library as ``pool=``.
+Exit codes: 0 success, 2 usage, 3 configuration, 4 driver non-convergence
+(outputs are still written).
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import Executor
 from pathlib import Path
 from typing import Sequence
 
 from .diagnostics import LevelStats, fit_rates, level_sweep
 from .errors import ConfigError, InsufficientDataError, VoimcError
+from .estimators import worker_pool
 from .mlmc import MlmcConfig, cost_comparison, evppi_report, mlmc_run
 from .models import BkocModel, DecisionModel, MODEL_NAMES, make_model
 from .streams import RandomStream
@@ -213,11 +217,15 @@ def _model_label(args) -> str:
 
 
 def _output_path(args, default_name: str) -> Path:
+    """The output file, refused when it names a directory or lies below a
+    file; missing directories are made only when the file is written."""
     if args.output:
         path = Path(args.output)
     else:
         path = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
+    existing = next(parent for parent in path.parents if parent.exists())
+    if path.is_dir() or not existing.is_dir():
+        raise ConfigError(f"cannot write the output file {path}")
     return path
 
 
@@ -273,7 +281,8 @@ def _emit_plot(path: Path, template: str) -> Path:
 def _write_output(
     args,
     model: DecisionModel,
-    default_format: str,
+    fmt: str,
+    path: Path,
     fields: dict,
     columns: Sequence[str],
     rows: Sequence[Sequence],
@@ -287,8 +296,7 @@ def _write_output(
     and ``rows``. ``plot`` is the gnuplot template ``--emit-plot-script``
     writes, and a ``failure`` message marks a non-converged run (exit 4).
     """
-    fmt = args.format or default_format
-    path = _output_path(args, f"voimc_{args.command}_{_model_label(args)}.{fmt}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         envelope = {
             "schema_version": SCHEMA_VERSION,
@@ -310,16 +318,16 @@ def _write_output(
     return 0
 
 
-def _cmd_run(args) -> int:
-    model = _build_model(args)
+# Each command samples on the pool ``main`` opened and returns the keyword
+# arguments of ``_write_output``, so the output is written after the pool closes.
+
+
+def _cmd_run(args, model: DecisionModel, pool: Executor | None) -> dict:
     epsilon = _single_epsilon(args)
     config = MlmcConfig(epsilon=epsilon, max_level=_positive(args.max_level, "--max-level"))
-    result = mlmc_run(model, config, RandomStream(args.seed), threads=args.threads)
+    result = mlmc_run(model, config, RandomStream(args.seed), pool=pool)
     status = "converged" if result.converged else "NOT CONVERGED"
-    return _write_output(
-        args,
-        model,
-        "json",
+    return dict(
         fields={
             "epsilon": result.epsilon,
             "estimate": result.estimate,
@@ -345,14 +353,13 @@ def _cmd_run(args) -> int:
     )
 
 
-def _cmd_levels(args) -> int:
-    model = _build_model(args)
+def _cmd_levels(args, model: DecisionModel, pool: Executor | None) -> dict:
     stats = level_sweep(
         model,
         _positive(args.max_level, "--max-level"),
         _positive(args.n, "--n"),
         RandomStream(args.seed),
-        threads=args.threads,
+        pool=pool,
     )
     try:
         rates = fit_rates(stats, min_level=2)
@@ -360,10 +367,7 @@ def _cmd_levels(args) -> int:
     except InsufficientDataError:
         rates = None
         rate_note = "rates unavailable"
-    return _write_output(
-        args,
-        model,
-        "csv",
+    return dict(
         fields={
             "n_per_level": int(args.n),
             "levels": _level_dicts(stats),
@@ -384,17 +388,11 @@ def _cmd_levels(args) -> int:
     )
 
 
-def _cmd_compare(args) -> int:
-    model = _build_model(args)
-    rows = cost_comparison(
-        model, _epsilon_list(args), RandomStream(args.seed), threads=args.threads
-    )
+def _cmd_compare(args, model: DecisionModel, pool: Executor | None) -> dict:
+    rows = cost_comparison(model, _epsilon_list(args), RandomStream(args.seed), pool=pool)
     values = [(r.epsilon, r.mlmc_cost, r.std_cost_model, r.ratio) for r in rows]
     ratios = [r.ratio for r in rows]
-    return _write_output(
-        args,
-        model,
-        "csv",
+    return dict(
         fields={"replications": 1, "rows": [dict(zip(_COMPARE_COLUMNS, v)) for v in values]},
         columns=_COMPARE_COLUMNS,
         rows=values,
@@ -404,22 +402,18 @@ def _cmd_compare(args) -> int:
     )
 
 
-def _cmd_evppi(args) -> int:
-    model = _build_model(args)
+def _cmd_evppi(args, model: DecisionModel, pool: Executor | None) -> dict:
     epsilon = _single_epsilon(args)
     report = evppi_report(
         model,
         epsilon,
         _positive(args.n, "--n"),
         RandomStream(args.seed),
-        threads=args.threads,
+        pool=pool,
     )
     row = tuple(getattr(report, column) for column in _EVPPI_COLUMNS)
     status = "" if report.converged else " NOT CONVERGED"
-    return _write_output(
-        args,
-        model,
-        "json",
+    return dict(
         fields={
             **dict(zip(_EVPPI_COLUMNS, row)),
             "epsilon": report.epsilon,
@@ -436,24 +430,31 @@ def _cmd_evppi(args) -> int:
     )
 
 
+# Each subcommand and its default output format.
 _COMMANDS = {
-    "run": _cmd_run,
-    "levels": _cmd_levels,
-    "compare": _cmd_compare,
-    "evppi": _cmd_evppi,
+    "run": (_cmd_run, "json"),
+    "levels": (_cmd_levels, "csv"),
+    "compare": (_cmd_compare, "csv"),
+    "evppi": (_cmd_evppi, "json"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, default_format = _COMMANDS[args.command]
+    fmt = args.format or default_format
     try:
         _positive(args.threads, "--threads")
         # Refused before any sampling, so that exit 3 writes no file.
         if getattr(args, "emit_plot_script", False) and (
-            args.format == "json" or Path(args.output or "").suffix == ".json"
+            fmt == "json" or Path(args.output or "").suffix == ".json"
         ):
             raise ConfigError("--emit-plot-script needs the csv format")
-        return _COMMANDS[args.command](args)
+        model = _build_model(args)
+        path = _output_path(args, f"voimc_{args.command}_{_model_label(args)}.{fmt}")
+        with worker_pool(args.threads) as pool:
+            output = command(args, model, pool)
+        return _write_output(args, model, fmt, path, **output)
     except VoimcError as exc:
         _emit_error("config", str(exc))
         return 3

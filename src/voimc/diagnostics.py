@@ -8,7 +8,8 @@ accuracy (standard_cost). Running the driver, and the cost reports built on
 its allocation, are the job of :mod:`voimc.mlmc`, which builds on this
 module.
 
-Sweeps fan blocks out across workers per level and merge moment
+A sweep takes its caller's pool as ``pool=`` (None runs every block on the
+caller's thread), fans each level's blocks out over it and merges moment
 accumulators in block order, so every statistic is independent of the
 worker count.
 """
@@ -16,13 +17,14 @@ worker count.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level, accumulate_p_level, worker_pool
+from .estimators import accumulate_level, accumulate_p_level
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -131,40 +133,26 @@ def level_sweep(
     max_level: int,
     n_per_level: int,
     stream: RandomStream,
-    threads: int = 1,
+    pool: Executor | None = None,
 ) -> list[LevelStats]:
     """Draw n_per_level independent samples at each level, 0 through
     max_level, and return one LevelStats row per level.
 
     The level-0 row is drawn like any other so its exact zeros are observed
-    rather than assumed; its Z statistics are zero by definition.
+    rather than assumed; its correction is the gap itself, Z_0 = P_0.
     """
     if max_level < 1:
         raise ConfigError("max_level must be at least 1")
     if n_per_level < 1_000:
         raise ConfigError("level sweeps need at least 1000 draws per level")
-    with worker_pool(threads) as pool:
-        acc_p0 = MomentAccumulator()
-        accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, pool=pool)
-        rows = [
-            LevelStats(
-                level=0,
-                n=int(acc_p0.n),
-                mean_z=0.0,
-                var_z=0.0,
-                kurtosis_z=math.nan,
-                mean_p=float(acc_p0.mean),
-                var_p=float(acc_p0.variance()),
-                cost_per_sample=1,
-            )
-        ]
-        for level in range(1, int(max_level) + 1):
-            acc_z = MomentAccumulator()
-            acc_p = MomentAccumulator()
-            accumulate_level(
-                model, level, n_per_level, stream.split(level), acc_z, acc_p, pool=pool
-            )
-            rows.append(stats_from_accumulators(level, acc_z, acc_p))
+    acc_p0 = MomentAccumulator()
+    accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, pool=pool)
+    rows = [stats_from_accumulators(0, acc_p0, acc_p0)]
+    for level in range(1, int(max_level) + 1):
+        acc_z = MomentAccumulator()
+        acc_p = MomentAccumulator()
+        accumulate_level(model, level, n_per_level, stream.split(level), acc_z, acc_p, pool=pool)
+        rows.append(stats_from_accumulators(level, acc_z, acc_p))
     return rows
 
 

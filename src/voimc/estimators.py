@@ -39,11 +39,10 @@ last block of a top-up) and changes the output bits.
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
-worker count. At one thread every block runs on the caller's thread; with
-more, blocks run on a pool of that many workers (see :func:`worker_pool`),
-which a whole run may share. The level folds, :func:`accumulate_level` and
-:func:`accumulate_p_level`, take that pool from their caller; the other
-batch routines take a thread count.
+worker count. Every batch routine takes one concurrency parameter, ``pool=``:
+with None every block runs on the caller's thread, and with a pool the
+blocks run on its workers. :func:`worker_pool` opens that pool, and a whole
+command shares it.
 """
 
 from __future__ import annotations
@@ -134,16 +133,15 @@ def _best_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
 
 
 @contextmanager
-def worker_pool(threads: int, pool: Executor | None = None):
-    """The pool that blocks run on: ``pool`` when one is given, else a new pool
-    of ``threads`` workers that lasts the ``with`` block, else None at one
-    thread, where every block runs on the caller's thread and no thread is
-    started."""
-    if pool is not None or threads <= 1:
-        yield pool
+def worker_pool(threads: int):
+    """The pool that blocks run on: a new pool of ``threads`` workers that
+    lasts the ``with`` block, or None at one thread, where every block runs
+    on the caller's thread and no thread is started."""
+    if threads <= 1:
+        yield None
         return
-    with ThreadPoolExecutor(max_workers=threads) as own:
-        yield own
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool
 
 
 def _map_blocks(
@@ -219,7 +217,7 @@ def sample_level_batch(
     level: int,
     n: int,
     stream: RandomStream,
-    threads: int = 1,
+    pool: Executor | None = None,
     first_block: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw (z, p_fine) arrays for n level-l draws; same substream layout as
@@ -228,13 +226,13 @@ def sample_level_batch(
         raise ValueError("the level correction is defined for levels >= 1")
     if n <= 0:
         return np.empty(0), np.empty(0)
-    with worker_pool(threads) as workers:
-        blocks = _map_blocks(_level_block, model, 1 << level, n, stream, workers, first_block)
-        zs, ps = zip(*blocks)
+    zs, ps = zip(*_map_blocks(_level_block, model, 1 << level, n, stream, pool, first_block))
     return np.concatenate(zs), np.concatenate(ps)
 
 
-def evpi_mc(model: DecisionModel, n: int, stream: RandomStream, threads: int = 1) -> Estimate:
+def evpi_mc(
+    model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
+) -> Estimate:
     """Plain-MC EVPI: mean of the pathwise best payoff minus the best decision
     in expectation, from n joint draws.
 
@@ -246,10 +244,9 @@ def evpi_mc(model: DecisionModel, n: int, stream: RandomStream, threads: int = 1
         raise ValueError("sample count must be positive")
     acc_best = MomentAccumulator()
     block_sums = []
-    with worker_pool(threads) as workers:
-        for best, sums in _map_blocks(_best_block, model, 1, n, stream, workers):
-            acc_best.add_block(best)
-            block_sums.append(sums)
+    for best, sums in _map_blocks(_best_block, model, 1, n, stream, pool):
+        acc_best.add_block(best)
+        block_sums.append(sums)
     best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
     value = acc_best.mean - best_of_means
     std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
@@ -261,7 +258,7 @@ def nested_mc(
     n_outer: int,
     n_inner: int,
     stream: RandomStream,
-    threads: int = 1,
+    pool: Executor | None = None,
 ) -> Estimate:
     """Nested-MC estimate of EVPI - EVPPI: for each of n_outer draws of X,
     average the inner gap over n_inner conditional draws.
@@ -273,9 +270,8 @@ def nested_mc(
         raise ValueError("sample counts must be positive")
     m = int(n_inner)
     acc = MomentAccumulator()
-    with worker_pool(threads) as workers:
-        for p in _map_blocks(_p_block, model, m, n_outer, stream, workers):
-            acc.add_block(p)
+    for p in _map_blocks(_p_block, model, m, n_outer, stream, pool):
+        acc.add_block(p)
     std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
     return Estimate(
         value=acc.mean, std_error=std_error, n=int(n_outer), cost=float(n_outer) * float(m)

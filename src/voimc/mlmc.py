@@ -16,10 +16,10 @@ Only once every allocation is satisfied under the current variance
 estimates is the bias remainder tested, and a failing test appends one finer
 level with warm-up draws. Sampling inside a level fans out over block
 substreams, and each level folds its blocks in block order, so the whole run
-is reproducible bit for bit from (model, config, seed). With more than one
-thread a run keeps one bounded worker pool: a top-up pass puts all its short
-levels on it at once, and the EVPI of an EVPPI report runs beside the driver
-on the same pool.
+is reproducible bit for bit from (model, config, seed). The driver and the
+reports take their caller's pool as ``pool=``, and never open one; with a
+pool, a top-up pass puts all its short levels on it at once, and the EVPI of
+an EVPPI report runs beside the driver on the same pool.
 
 The reports built on the driver's arithmetic live here too: the multilevel
 cost against the modeled standard-MC cost, either from driver runs over
@@ -44,7 +44,7 @@ from .diagnostics import (
     stats_from_accumulators,
 )
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level, evpi_mc, worker_pool
+from .estimators import accumulate_level, evpi_mc
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -191,23 +191,15 @@ def mlmc_run(
     model: DecisionModel,
     config: MlmcConfig,
     stream: RandomStream,
-    threads: int = 1,
     pool: Executor | None = None,
 ) -> MlmcResult:
     """Run the adaptive multilevel estimator to the configured accuracy.
 
     Returns a result whose ``converged`` flag is False when max_level was
     reached (or the loop safety valve tripped) before the bias target; the
-    partial diagnostics are still filled in. The blocks run on ``pool`` when
-    one is given, else on a pool of ``threads`` workers kept for the run.
+    partial diagnostics are still filled in. The blocks run on ``pool``, or
+    on the caller's thread when it is None.
     """
-    with worker_pool(threads, pool) as workers:
-        return _drive(model, config, stream, workers)
-
-
-def _drive(
-    model: DecisionModel, config: MlmcConfig, stream: RandomStream, pool: Executor | None
-) -> MlmcResult:
     states: dict[int, _LevelState] = {}
     warnings: list[str] = []
     history: list[dict] = []
@@ -344,7 +336,7 @@ def cost_comparison(
     model: DecisionModel,
     epsilons: Sequence[float],
     stream: RandomStream,
-    threads: int = 1,
+    pool: Executor | None = None,
 ) -> list[ComparisonRow]:
     """Run the adaptive driver at each target and compare its measured cost
     with the modeled standard-MC cost.
@@ -361,19 +353,18 @@ def cost_comparison(
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("accuracy targets must be strictly descending")
     rows = []
-    with worker_pool(threads) as pool:
-        for k, epsilon in enumerate(eps):
-            config = MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP)
-            result = mlmc_run(model, config, stream.split(k), pool=pool)
-            _, std_cost = standard_cost(result.level_stats, result.fitted_alpha, epsilon)
-            rows.append(
-                ComparisonRow(
-                    epsilon=epsilon,
-                    mlmc_cost=float(result.total_cost),
-                    std_cost_model=std_cost,
-                    ratio=std_cost / float(result.total_cost),
-                )
+    for k, epsilon in enumerate(eps):
+        config = MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP)
+        result = mlmc_run(model, config, stream.split(k), pool=pool)
+        _, std_cost = standard_cost(result.level_stats, result.fitted_alpha, epsilon)
+        rows.append(
+            ComparisonRow(
+                epsilon=epsilon,
+                mlmc_cost=float(result.total_cost),
+                std_cost_model=std_cost,
+                ratio=std_cost / float(result.total_cost),
             )
+        )
     return rows
 
 
@@ -445,27 +436,26 @@ def evppi_report(
     epsilon: float,
     n_evpi: int,
     stream: RandomStream,
-    threads: int = 1,
+    pool: Executor | None = None,
 ) -> EvppiReport:
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
-    With more than one thread both share one pool: the EVPI is one task that
-    runs its blocks in order on one worker, beside the driver's blocks.
+    With a pool both share it: the EVPI is one task that runs its blocks in
+    order on one worker, beside the driver's blocks.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """
     if n_evpi < 2:
         raise ConfigError("the EVPI estimate needs at least two samples")
     config = MlmcConfig(epsilon=float(epsilon))
-    with worker_pool(threads) as pool:
-        if pool is None:
-            evpi = evpi_mc(model, int(n_evpi), stream.split(0))
-            result = mlmc_run(model, config, stream.split(1))
-        else:
-            evpi_task = pool.submit(evpi_mc, model, int(n_evpi), stream.split(0))
-            result = mlmc_run(model, config, stream.split(1), pool=pool)
-            evpi = evpi_task.result()
+    if pool is None:
+        evpi = evpi_mc(model, int(n_evpi), stream.split(0))
+        result = mlmc_run(model, config, stream.split(1))
+    else:
+        evpi_task = pool.submit(evpi_mc, model, int(n_evpi), stream.split(0))
+        result = mlmc_run(model, config, stream.split(1), pool=pool)
+        evpi = evpi_task.result()
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
     difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
     evppi_rms = math.sqrt(evpi.std_error**2 + difference_rms**2)

@@ -62,22 +62,29 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-@pytest.fixture(scope="session")
-def sweep1():
-    return level_sweep(synthetic1(), 10, 200_000, RandomStream(1), threads=THREADS)
+@pytest.fixture(scope="module")
+def pool():
+    """One pool of THREADS workers for the library calls of this module."""
+    with worker_pool(THREADS) as pool:
+        yield pool
 
 
-@pytest.fixture(scope="session")
-def sweep2():
-    return level_sweep(synthetic2(), 10, 200_000, RandomStream(1), threads=THREADS)
+@pytest.fixture(scope="module")
+def sweep1(pool):
+    return level_sweep(synthetic1(), 10, 200_000, RandomStream(1), pool=pool)
 
 
-@pytest.fixture(scope="session")
-def sweep3():
-    return level_sweep(synthetic3(), 10, 200_000, RandomStream(1), threads=THREADS)
+@pytest.fixture(scope="module")
+def sweep2(pool):
+    return level_sweep(synthetic2(), 10, 200_000, RandomStream(1), pool=pool)
 
 
-def test_criterion_1_closed_form_through_cli(tmp_path):
+@pytest.fixture(scope="module")
+def sweep3(pool):
+    return level_sweep(synthetic3(), 10, 200_000, RandomStream(1), pool=pool)
+
+
+def test_criterion_1_closed_form_through_cli(tmp_path, pool):
     out = tmp_path / "run.json"
     started = time.monotonic()
     proc = subprocess.run(
@@ -95,7 +102,7 @@ def test_criterion_1_closed_form_through_cli(tmp_path):
     error = abs(estimate - CLOSED_FORM_GAP)
 
     # independent confirmation of the closed form by a deep nested-MC run
-    oracle = nested_mc(synthetic1(), 10**6, 1 << 12, RandomStream(70), threads=THREADS)
+    oracle = nested_mc(synthetic1(), 10**6, 1 << 12, RandomStream(70), pool=pool)
     oracle_bias = (1.0 - math.sqrt(1.0 + 2.0**-12)) / math.sqrt(2.0 * math.pi)
     oracle_gap = abs(oracle.value - CLOSED_FORM_GAP)
     oracle_tol = 4.0 * oracle.std_error + abs(oracle_bias)
@@ -197,7 +204,7 @@ def test_criterion_5_exact_identities():
     )
 
 
-def test_criterion_6_bkoc_reproduction():
+def test_criterion_6_bkoc_reproduction(pool):
     lines = []
     ok = True
 
@@ -207,11 +214,11 @@ def test_criterion_6_bkoc_reproduction():
     for partition, _, _ in BKOC_CASES:
         model = BkocModel(GaussianModelSpec(outer_indices=partition))
         result = mlmc_run(
-            model, MlmcConfig(epsilon=1.0), RandomStream(11).split(1), threads=THREADS
+            model, MlmcConfig(epsilon=1.0), RandomStream(11).split(1), pool=pool
         )
         nested = nested_mc(
             model, 100_000, 1 << result.max_level_used,
-            RandomStream(11).split(2), threads=THREADS,
+            RandomStream(11).split(2), pool=pool,
         )
         combined = math.sqrt(result.variance_of_estimator + nested.std_error**2)
         gap = abs(result.estimate - nested.value)
@@ -223,7 +230,7 @@ def test_criterion_6_bkoc_reproduction():
     dense = lambda partition: BkocModel(
         GaussianModelSpec(correlated_pairs=DENSE_PAIRS, outer_indices=partition)
     )
-    evpi = evpi_mc(dense((5, 14)), 10**7, RandomStream(11).split(0), threads=THREADS)
+    evpi = evpi_mc(dense((5, 14)), 10**7, RandomStream(11).split(0), pool=pool)
     evpi_ok = abs(evpi.value - 1047.0) <= 3.0 * evpi.std_error
     ok = ok and evpi_ok
     lines.append(f"dense EVPI {evpi.value:.1f} = 1047 +- {3.0 * evpi.std_error:.1f}")
@@ -233,7 +240,7 @@ def test_criterion_6_bkoc_reproduction():
             dense(partition),
             MlmcConfig(epsilon=1.0, warmup_samples=8_000),
             RandomStream(11).split(1),
-            threads=THREADS,
+            pool=pool,
         )
         factor = max(result.total_cost / reference_cost, reference_cost / result.total_cost)
         ok = (
@@ -251,10 +258,10 @@ def test_criterion_6_bkoc_reproduction():
     report(6, ok, "; ".join(lines))
 
 
-def test_criterion_7_complexity(sweep2):
+def test_criterion_7_complexity(sweep2, pool):
     # near-constant eps^2 cost across an accuracy ladder
     rows = cost_comparison(
-        synthetic1(), [0.02, 0.01, 0.005, 0.0025], RandomStream(5), threads=THREADS
+        synthetic1(), [0.02, 0.01, 0.005, 0.0025], RandomStream(5), pool=pool
     )
     normalized = [r.epsilon**2 * r.mlmc_cost for r in rows]
     flatness = max(normalized) / min(normalized)
@@ -265,7 +272,7 @@ def test_criterion_7_complexity(sweep2):
         synthetic1(),
         MlmcConfig(epsilon=1e-4, warmup_samples=300),
         RandomStream(5),
-        threads=THREADS,
+        pool=pool,
     )
     projected1 = projected_costs(executed.level_stats, 1e-4)
     ratio1 = projected1.std_cost_model / executed.total_cost

@@ -84,6 +84,34 @@ def test_config_errors_exit_3(tmp_path, capsys):
         assert err["message"]
 
 
+@pytest.mark.parametrize("case", ["output-is-dir", "output-dir-env-is-file", "output-below-file"])
+def test_unwritable_output_exits_3_before_sampling(tmp_path, monkeypatch, capsys, case):
+    # refused before any sampling, with no traceback and no file written
+    run = ["run", "--model", "synthetic1", "--epsilon", "0.1"]
+    levels = ["levels", "--model", "synthetic1", "--max-level", "2", "--n", "2000"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if case == "output-is-dir":
+        (tmp_path / "dir").mkdir()
+        argv = [*run, "--output", str(tmp_path / "dir")]
+    elif case == "output-dir-env-is-file":
+        monkeypatch.setenv("VOIMC_OUTPUT_DIR", str(blocker))
+        argv = run
+    else:
+        argv = [*levels, "--output", str(blocker / "x.csv")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling started before the output path was checked")
+
+    monkeypatch.setattr("voimc.cli.mlmc_run", refuse)
+    monkeypatch.setattr("voimc.cli.level_sweep", refuse)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip()
+    assert json.loads(err)["error"] == "config"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_malformed_config_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -153,7 +181,9 @@ def test_one_pool_per_run_and_no_thread_at_one_thread(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
-    for command in SCHEDULED:
+    commands = [*SCHEDULED, ["levels", "--model", "synthetic1", "--max-level", "3"],
+                ["compare", "--model", "synthetic1", "--epsilon", "0.05"]]
+    for command in commands:
         built.clear()
         assert run_cli(tmp_path, *command, "--threads", "2")[0] == 0
         assert built == [2]
@@ -162,8 +192,7 @@ def test_one_pool_per_run_and_no_thread_at_one_thread(tmp_path, monkeypatch):
         raise AssertionError(f"{thread.name} started at --threads 1")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    for command in [*SCHEDULED, ["levels", "--model", "synthetic1", "--max-level", "3"],
-                    ["compare", "--model", "synthetic1", "--epsilon", "0.05"]]:
+    for command in commands:
         assert run_cli(tmp_path, *command, "--threads", "1")[0] == 0
 
 

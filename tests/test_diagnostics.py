@@ -19,6 +19,7 @@ from voimc.diagnostics import (
     level_sweep,
     stats_from_accumulators,
 )
+from voimc.estimators import worker_pool
 from voimc.mlmc import (
     COMPARISON_WARMUP,
     MlmcConfig,
@@ -149,8 +150,9 @@ def test_level_sweep_validation():
 
 
 def test_level_sweep_thread_invariance():
-    a = level_sweep(synthetic3(), 2, 30_000, RandomStream(2), threads=1)
-    b = level_sweep(synthetic3(), 2, 30_000, RandomStream(2), threads=4)
+    a = level_sweep(synthetic3(), 2, 30_000, RandomStream(2))
+    with worker_pool(4) as pool:
+        b = level_sweep(synthetic3(), 2, 30_000, RandomStream(2), pool=pool)
     assert a == b
 
 
@@ -161,7 +163,8 @@ def test_cost_comparison_rows():
         assert row.mlmc_cost > 0
         assert row.std_cost_model > 0
         assert row.ratio == row.std_cost_model / row.mlmc_cost
-    again = cost_comparison(synthetic1(), [0.08, 0.04], RandomStream(3), threads=4)
+    with worker_pool(4) as pool:
+        again = cost_comparison(synthetic1(), [0.08, 0.04], RandomStream(3), pool=pool)
     assert rows == again
 
 

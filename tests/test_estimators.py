@@ -247,8 +247,9 @@ def test_thread_count_does_not_change_results():
     bkoc = BkocModel()
     cases = [(synthetic1(), 1, 300_000, 4), (bkoc, 4, 2 * full_block(bkoc, 1 << 4) + 1, 3)]
     for model, level, n, threads in cases:
-        z1, p1 = sample_level_batch(model, level, n, RandomStream(19), threads=1)
-        zt, pt = sample_level_batch(model, level, n, RandomStream(19), threads=threads)
+        z1, p1 = sample_level_batch(model, level, n, RandomStream(19))
+        with worker_pool(threads) as pool:
+            zt, pt = sample_level_batch(model, level, n, RandomStream(19), pool=pool)
         np.testing.assert_array_equal(z1, zt)
         np.testing.assert_array_equal(p1, pt)
 
@@ -284,8 +285,9 @@ def test_evpi_closed_form():
 def test_evpi_validation_and_determinism():
     with pytest.raises(ValueError):
         evpi_mc(synthetic1(), 0, RandomStream(0))
-    a = evpi_mc(synthetic2(), 50_000, RandomStream(31), threads=1)
-    b = evpi_mc(synthetic2(), 50_000, RandomStream(31), threads=4)
+    a = evpi_mc(synthetic2(), 50_000, RandomStream(31))
+    with worker_pool(4) as pool:
+        b = evpi_mc(synthetic2(), 50_000, RandomStream(31), pool=pool)
     assert a == b
 
 
@@ -301,15 +303,17 @@ def test_nested_mc_matches_level_mean():
     # E[P_l] for the first synthetic model in closed form:
     # 1/sqrt(pi) - sqrt(1 + 2^-l)/sqrt(2 pi)
     m = 256
-    est = nested_mc(synthetic1(), 100_000, m, RandomStream(41), threads=2)
+    with worker_pool(2) as pool:
+        est = nested_mc(synthetic1(), 100_000, m, RandomStream(41), pool=pool)
     want = 1.0 / math.sqrt(math.pi) - math.sqrt(1.0 + 1.0 / m) / math.sqrt(2.0 * math.pi)
     assert abs(est.value - want) <= 5.0 * est.std_error
     assert est.cost == 100_000.0 * 256.0
 
 
 def test_nested_mc_nonnegative_and_deterministic():
-    a = nested_mc(synthetic3(), 30_000, 16, RandomStream(43), threads=1)
-    b = nested_mc(synthetic3(), 30_000, 16, RandomStream(43), threads=4)
+    a = nested_mc(synthetic3(), 30_000, 16, RandomStream(43))
+    with worker_pool(4) as pool:
+        b = nested_mc(synthetic3(), 30_000, 16, RandomStream(43), pool=pool)
     assert a == b
     assert a.value >= 0.0
     with pytest.raises(ValueError):
@@ -376,19 +380,21 @@ def kernel_digests(model):
 
     for level in range(11):
         for n, threads in runs(1 << level):
-            if level:
-                zp = sample_level_batch(model, level, n, RandomStream(level), threads=threads)
-                put("level_batch", *zp)
-            acc = MomentAccumulator()
             with worker_pool(threads) as pool:
+                if level:
+                    zp = sample_level_batch(model, level, n, RandomStream(level), pool=pool)
+                    put("level_batch", *zp)
+                acc = MomentAccumulator()
                 accumulate_p_level(model, level, n, RandomStream(level), acc, pool=pool)
             put("p_level", acc.n, acc.mean, acc.m2, acc.m3, acc.m4)
     for n, threads in runs(1):
-        est = evpi_mc(model, n, RandomStream(n), threads=threads)
+        with worker_pool(threads) as pool:
+            est = evpi_mc(model, n, RandomStream(n), pool=pool)
         put("evpi", est.value, est.std_error)
     for m in (1, 3, 1000):
         for n, threads in runs(m):
-            est = nested_mc(model, n, m, RandomStream(m), threads=threads)
+            with worker_pool(threads) as pool:
+                est = nested_mc(model, n, m, RandomStream(m), pool=pool)
             put("nested", est.value, est.std_error)
     return {key: h.hexdigest() for key, h in hashes.items()}
 

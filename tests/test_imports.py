@@ -118,3 +118,17 @@ def test_public_functions_and_classes_are_pinned():
         for name in MODULES
     }
     assert found == PUBLIC
+
+
+def test_pool_is_the_only_concurrency_parameter():
+    # Batch routines take their caller's pool as ``pool=``; only
+    # ``worker_pool(threads)`` turns a thread count into one.
+    found = {
+        f"{name}.{node.name}"
+        for name in MODULES
+        for node in parse(name).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and "threads" in {a.arg for a in [*node.args.args, *node.args.kwonlyargs]}
+    }
+    assert found == {"estimators.worker_pool"}

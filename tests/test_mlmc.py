@@ -14,7 +14,7 @@ from voimc import (
     synthetic2,
 )
 from voimc.diagnostics import LevelStats, bias_remainder, stats_from_accumulators
-from voimc.estimators import accumulate_level
+from voimc.estimators import accumulate_level, worker_pool
 from voimc.mlmc import MlmcConfig, _floored_variances, mlmc_run, optimal_allocation
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
@@ -232,8 +232,9 @@ def test_driver_history_structure():
 
 def test_driver_is_reproducible_across_threads():
     cfg = MlmcConfig(epsilon=0.02, warmup_samples=300)
-    a = mlmc_run(synthetic1(), cfg, RandomStream(9), threads=1)
-    b = mlmc_run(synthetic1(), cfg, RandomStream(9), threads=4)
+    a = mlmc_run(synthetic1(), cfg, RandomStream(9))
+    with worker_pool(4) as pool:
+        b = mlmc_run(synthetic1(), cfg, RandomStream(9), pool=pool)
     assert a == b
 
 

@@ -218,7 +218,8 @@ def _model_label(args) -> str:
 
 def _output_path(args, default_name: str) -> Path:
     """The output file, refused when it names a directory or lies below a
-    file; missing directories are made only when the file is written."""
+    file (a name the filesystem refuses raises OSError here); missing
+    directories are made only when the file is written."""
     if args.output:
         path = Path(args.output)
     else:
@@ -455,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with worker_pool(args.threads) as pool:
             output = command(args, model, pool)
         return _write_output(args, model, fmt, path, **output)
-    except VoimcError as exc:
+    except (VoimcError, OSError) as exc:  # OSError: a path the filesystem refuses
         _emit_error("config", str(exc))
         return 3
 

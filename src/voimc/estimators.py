@@ -62,17 +62,14 @@ from .streams import RandomStream
 # modest while amortizing vectorization overhead. Block boundaries depend only
 # on the model's dimensions and the inner count, never on worker count.
 _BLOCK_VALUE_BUDGET = 1 << 20
-_MAX_BLOCK_OUTER = 1 << 18
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """A plain Monte Carlo estimate with its standard error and sampling cost."""
+    """A plain Monte Carlo estimate with its standard error."""
 
     value: float
     std_error: float
-    n: int
-    cost: float
 
 
 def _payoffs_with_best(
@@ -160,7 +157,7 @@ def _map_blocks(
     Block sizes depend only on the model's dimensions and m; block indices
     count up from ``first_block``."""
     width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    size = max(1, min(_BLOCK_VALUE_BUDGET // width, _MAX_BLOCK_OUTER))
+    size = max(1, _BLOCK_VALUE_BUDGET // width)
     plan = [
         (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
     ]
@@ -250,7 +247,7 @@ def evpi_mc(
     best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
     value = acc_best.mean - best_of_means
     std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
-    return Estimate(value=value, std_error=std_error, n=int(n), cost=float(n))
+    return Estimate(value=value, std_error=std_error)
 
 
 def nested_mc(
@@ -268,11 +265,8 @@ def nested_mc(
     """
     if n_outer <= 0 or n_inner <= 0:
         raise ValueError("sample counts must be positive")
-    m = int(n_inner)
     acc = MomentAccumulator()
-    for p in _map_blocks(_p_block, model, m, n_outer, stream, pool):
+    for p in _map_blocks(_p_block, model, int(n_inner), n_outer, stream, pool):
         acc.add_block(p)
     std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
-    return Estimate(
-        value=acc.mean, std_error=std_error, n=int(n_outer), cost=float(n_outer) * float(m)
-    )
+    return Estimate(value=acc.mean, std_error=std_error)

@@ -17,9 +17,11 @@ estimates is the bias remainder tested, and a failing test appends one finer
 level with warm-up draws. Sampling inside a level fans out over block
 substreams, and each level folds its blocks in block order, so the whole run
 is reproducible bit for bit from (model, config, seed). The driver and the
-reports take their caller's pool as ``pool=``, and never open one; with a
-pool, a top-up pass puts all its short levels on it at once, and the EVPI of
-an EVPPI report runs beside the driver on the same pool.
+reports take their caller's pool as ``pool=``, and never open one. A pass
+draws its levels one after another on the caller's thread, and every
+level's blocks reach the pool through the one block map of
+:mod:`voimc.estimators`; the EVPI of an EVPPI report is one task beside the
+driver on the same pool.
 
 The reports built on the driver's arithmetic live here too: the multilevel
 cost against the modeled standard-MC cost, either from driver runs over
@@ -197,39 +199,29 @@ def mlmc_run(
 
     Returns a result whose ``converged`` flag is False when max_level was
     reached (or the loop safety valve tripped) before the bias target; the
-    partial diagnostics are still filled in. The blocks run on ``pool``, or
-    on the caller's thread when it is None.
+    partial diagnostics are still filled in. Each pass draws its levels in
+    turn on the caller's thread; every level's blocks run on ``pool``, or on
+    the caller's thread when it is None.
     """
     states: dict[int, _LevelState] = {}
     warnings: list[str] = []
     history: list[dict] = []
 
-    def grow(level: int, extra: int, blocks_pool: Executor | None) -> None:
-        state = states[level]
-        state.next_block = accumulate_level(
-            model,
-            level,
-            extra,
-            stream.split(level),
-            state.acc_z,
-            state.acc_p,
-            first_block=state.next_block,
-            pool=blocks_pool,
-        )
-
     def grow_all(extra: dict[int, int]) -> None:
-        """Draw ``extra[level]`` more samples at each level. A lone level
-        spreads its blocks over the pool; several levels go on the pool at
-        once, one task per level that runs its blocks in block order, the
-        costliest first."""
-        for level in extra:
-            states.setdefault(level, _LevelState())
-        if pool is None or len(extra) == 1:
-            for level, n in extra.items():
-                grow(level, n, pool)
-            return
-        tasks = sorted(extra.items(), key=lambda item: -(item[1] << item[0]))
-        list(pool.map(lambda item: grow(*item, None), tasks))
+        """Draw ``extra[level]`` more samples at each level, one level after
+        another; each level spreads its blocks over the pool."""
+        for level, n in extra.items():
+            state = states.setdefault(level, _LevelState())
+            state.next_block = accumulate_level(
+                model,
+                level,
+                n,
+                stream.split(level),
+                state.acc_z,
+                state.acc_p,
+                first_block=state.next_block,
+                pool=pool,
+            )
 
     def pooled_stats() -> list[LevelStats]:
         return [

@@ -84,7 +84,9 @@ def test_config_errors_exit_3(tmp_path, capsys):
         assert err["message"]
 
 
-@pytest.mark.parametrize("case", ["output-is-dir", "output-dir-env-is-file", "output-below-file"])
+@pytest.mark.parametrize(
+    "case", ["output-is-dir", "output-dir-env-is-file", "output-below-file", "name-too-long"]
+)
 def test_unwritable_output_exits_3_before_sampling(tmp_path, monkeypatch, capsys, case):
     # refused before any sampling, with no traceback and no file written
     run = ["run", "--model", "synthetic1", "--epsilon", "0.1"]
@@ -97,8 +99,10 @@ def test_unwritable_output_exits_3_before_sampling(tmp_path, monkeypatch, capsys
     elif case == "output-dir-env-is-file":
         monkeypatch.setenv("VOIMC_OUTPUT_DIR", str(blocker))
         argv = run
-    else:
+    elif case == "output-below-file":
         argv = [*levels, "--output", str(blocker / "x.csv")]
+    else:
+        argv = [*levels, "--output", str(tmp_path / f"{'a' * 300}.csv")]
 
     def refuse(*args, **kwargs):
         raise AssertionError("sampling started before the output path was checked")
@@ -110,6 +114,21 @@ def test_unwritable_output_exits_3_before_sampling(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err.strip()
     assert json.loads(err)["error"] == "config"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_refused_write_exits_3(tmp_path, monkeypatch, capsys):
+    # a write the filesystem refuses after the sampling is a config error,
+    # not a traceback
+    def refuse(path, *args):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("voimc.cli.write_csv", refuse)
+    argv = ["levels", "--model", "synthetic1", "--max-level", "2", "--n", "2000"]
+    assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "Permission denied" in err["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_config_file_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Driver behavior: allocation, bias control, convergence, reproducibility."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -230,12 +231,25 @@ def test_driver_history_structure():
         assert (h["action"] == "stop") == (h["remainder"] <= 0.02 / math.sqrt(2.0))
 
 
-def test_driver_is_reproducible_across_threads():
+def test_driver_is_reproducible_across_threads(monkeypatch):
     cfg = MlmcConfig(epsilon=0.02, warmup_samples=300)
     a = mlmc_run(synthetic1(), cfg, RandomStream(9))
+    calls = []
+
+    def recorded(model, level, n, *args, pool=None, **kwargs):
+        calls.append((threading.get_ident(), level, n, pool))
+        return accumulate_level(model, level, n, *args, pool=pool, **kwargs)
+
+    monkeypatch.setattr("voimc.mlmc.accumulate_level", recorded)
     with worker_pool(4) as pool:
         b = mlmc_run(synthetic1(), cfg, RandomStream(9), pool=pool)
     assert a == b
+    # every level of every pass is drawn from the caller's thread, and its
+    # blocks reach the run's pool
+    assert calls
+    assert all(thread == threading.get_ident() for thread, _, _, _ in calls)
+    assert all(used is pool for _, _, _, used in calls)
+    assert sum(n << level for _, level, n, _ in calls) == b.total_cost
 
 
 def test_cost_growth_under_epsilon_halving():

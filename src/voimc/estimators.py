@@ -48,6 +48,8 @@ command shares it.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -122,11 +124,14 @@ def _p_block(model: DecisionModel, m: int, n: int, stream: RandomStream) -> np.n
 
 
 def _best_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
-    """One block of joint draws (m = 1): the pathwise best payoffs, and the
+    """One block of joint draws (m = 1), reduced where it runs: the moments
+    of the pathwise best payoffs, by the arithmetic of ``add_block``, and the
     per-decision payoff sums. The sums run over an (n, D) copy, so they add
     rows in outer-draw order; summing the contiguous planes would be pairwise."""
     g = _payoffs_with_best(model, m, n, stream)[0]
-    return g[-1], g[:-1].T.copy().sum(axis=0)
+    best = MomentAccumulator()
+    best.add_block(g[-1])
+    return best, g[:-1].T.copy().sum(axis=0)
 
 
 @contextmanager
@@ -156,17 +161,23 @@ def _map_blocks(
     one, each block runs on the caller's thread as the results are read.
     Block sizes depend only on the model's dimensions and m; block indices
     count up from ``first_block``."""
-    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    size = max(1, _BLOCK_VALUE_BUDGET // width)
-    plan = [
-        (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
-    ]
+    plan = _block_plan(model, m, n, first_block)
 
     def run(item):
         idx, block_size = item
         return kernel(model, m, block_size, stream.split(idx))
 
     return map(run, plan) if pool is None else pool.map(run, plan)
+
+
+def _block_plan(model: DecisionModel, m: int, n: int, first_block: int = 0):
+    """(block index, outer draws) of each block of n outer draws with m inner
+    draws each. Sizes depend only on the model's dimensions and m."""
+    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
+    size = max(1, _BLOCK_VALUE_BUDGET // width)
+    return [
+        (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
+    ]
 
 
 def accumulate_level(
@@ -237,17 +248,60 @@ def evpi_mc(
     averages before taking the max and is far more accurate, so its noise is
     ignored.
     """
+    return _evpi_ahead(model, n, stream, pool)()
+
+
+def _evpi_ahead(
+    model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
+) -> Callable[[], Estimate]:
+    """Start the estimate of :func:`evpi_mc`; the returned call finishes it.
+
+    With a pool, one of its workers claims the blocks in block order from
+    now on, so the EVPI runs beside whatever else the pool is given. The
+    returned call stops the claims, maps every block not yet claimed over
+    the pool, and folds all of them in block order. Without a pool nothing
+    starts, and the returned call draws every block on the caller's thread.
+    The fold is the same either way, so the estimate is too."""
     if n <= 0:
         raise ValueError("sample count must be positive")
-    acc_best = MomentAccumulator()
-    block_sums = []
-    for best, sums in _map_blocks(_best_block, model, 1, n, stream, pool):
-        acc_best.add_block(best)
-        block_sums.append(sums)
-    best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
-    value = acc_best.mean - best_of_means
-    std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
-    return Estimate(value=value, std_error=std_error)
+    plan = _block_plan(model, 1, n)
+    # Every index goes to exactly one claimant: the worker, or the finishing
+    # call. None once all are claimed.
+    indices = iter(range(len(plan)))
+    lock = threading.Lock()
+    drawn = {}
+
+    def claim():
+        with lock:
+            return next(indices, None)
+
+    def run(i):
+        idx, size = plan[i]
+        return _best_block(model, 1, size, stream.split(idx))
+
+    def claim_in_order():
+        for i in iter(claim, None):
+            drawn[i] = run(i)
+
+    claimer = None if pool is None else pool.submit(claim_in_order)
+
+    def finish() -> Estimate:
+        rest = list(iter(claim, None))
+        drawn.update(zip(rest, map(run, rest) if pool is None else pool.map(run, rest)))
+        if claimer is not None:
+            claimer.result()
+        acc_best = MomentAccumulator()
+        block_sums = []
+        for i in range(len(plan)):
+            best, sums = drawn[i]
+            acc_best.merge(best)
+            block_sums.append(sums)
+        best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
+        value = acc_best.mean - best_of_means
+        std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
+        return Estimate(value=value, std_error=std_error)
+
+    return finish
 
 
 def nested_mc(

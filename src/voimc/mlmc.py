@@ -20,8 +20,9 @@ is reproducible bit for bit from (model, config, seed). The driver and the
 reports take their caller's pool as ``pool=``, and never open one. A pass
 draws its levels one after another on the caller's thread, and every
 level's blocks reach the pool through the one block map of
-:mod:`voimc.estimators`; the EVPI of an EVPPI report is one task beside the
-driver on the same pool.
+:mod:`voimc.estimators`. The EVPI of an EVPPI report shares that pool: one
+worker draws its blocks in order beside the driver, and the blocks still
+unclaimed when the driver returns are spread over the whole pool.
 
 The reports built on the driver's arithmetic live here too: the multilevel
 cost against the modeled standard-MC cost, either from driver runs over
@@ -46,7 +47,7 @@ from .diagnostics import (
     stats_from_accumulators,
 )
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level, evpi_mc
+from .estimators import _evpi_ahead, accumulate_level
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -433,21 +434,19 @@ def evppi_report(
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
-    With a pool both share it: the EVPI is one task that runs its blocks in
-    order on one worker, beside the driver's blocks.
+    With a pool both share it, and no worker idles at the end: while the
+    driver runs, one worker draws the EVPI's blocks in block order, and
+    once the driver returns every EVPI block still unclaimed is spread over
+    the whole pool. The EVPI's blocks run only on the pool's workers.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """
     if n_evpi < 2:
         raise ConfigError("the EVPI estimate needs at least two samples")
     config = MlmcConfig(epsilon=float(epsilon))
-    if pool is None:
-        evpi = evpi_mc(model, int(n_evpi), stream.split(0))
-        result = mlmc_run(model, config, stream.split(1))
-    else:
-        evpi_task = pool.submit(evpi_mc, model, int(n_evpi), stream.split(0))
-        result = mlmc_run(model, config, stream.split(1), pool=pool)
-        evpi = evpi_task.result()
+    finish_evpi = _evpi_ahead(model, int(n_evpi), stream.split(0), pool)
+    result = mlmc_run(model, config, stream.split(1), pool=pool)
+    evpi = finish_evpi()
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
     difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
     evppi_rms = math.sqrt(evpi.std_error**2 + difference_rms**2)

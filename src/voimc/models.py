@@ -311,6 +311,12 @@ class BkocModel(DecisionModel):
         self._chol_cond = (
             np.linalg.cholesky(self._cond_cov) if self.inner_dim else np.zeros((0, 0))
         )
+        # The factor's diagonal when it has one nonzero per row (the inner
+        # variables are conditionally independent), else None.
+        diag = np.diag(self._chol_cond)
+        self._chol_cond_diag = (
+            diag.copy() if np.count_nonzero(self._chol_cond) == diag.size else None
+        )
 
         # Per decision and term: the coefficient, and per factor in product
         # order (outer position, None) or (None, inner position).
@@ -332,14 +338,26 @@ class BkocModel(DecisionModel):
         return self._mu_outer + z @ self._chol_outer.T
 
     def sample_inner(self, outer: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
+        """Conditional draws ``mean + z @ L.T``, L the Cholesky factor of the
+        conditional covariance. When L is diagonal the normals are scaled by
+        it and shifted by the mean in place: the same bits, since each
+        product then has one nonzero term, with no BLAS call per outer draw
+        and no new array. Any other L keeps the matmul, whose summation order
+        the raw-kernel digests pin."""
         n = outer.shape[0]
         z = stream.normals((n, int(m), self.inner_dim))
         mean = self.inner_conditional_means(outer)
-        return mean[:, None, :] + z @ self._chol_cond.T
+        if self._chol_cond_diag is None:
+            return mean[:, None, :] + z @ self._chol_cond.T
+        z *= self._chol_cond_diag
+        z += mean[:, None, :]
+        return z
 
     def inner_conditional_means(self, outer: np.ndarray) -> np.ndarray:
         """Conditional mean of each inner variable given the outer values; (n, inner_dim)."""
-        return np.asarray(outer) @ self._cond_gain.T + self._cond_offset
+        means = np.asarray(outer) @ self._cond_gain.T
+        means += self._cond_offset
+        return means
 
     def payoffs(
         self, outer: np.ndarray, inner: np.ndarray, out: np.ndarray | None = None

@@ -50,13 +50,17 @@ class RandomStream:
         """``n`` uniforms on (0, 1), bounded away from 0."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        return np.maximum(self._gen.random(int(n)), _MIN_UNIFORM)
+        u = self._gen.random(int(n))
+        return np.maximum(u, _MIN_UNIFORM, out=u)
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Standard normals via the inverse CDF of ``uniforms``, row-major order."""
+        """Standard normals via the inverse CDF of ``uniforms``, row-major
+        order. The inverse CDF overwrites the uniforms in place, so a draw
+        allocates one array."""
         if isinstance(shape, (int, np.integer)):
-            return ndtri(self.uniforms(int(shape)))
+            shape = (int(shape),)
         count = 1
         for s in shape:
             count *= int(s)
-        return ndtri(self.uniforms(count)).reshape(shape)
+        u = self.uniforms(count)
+        return ndtri(u, out=u).reshape(shape)

@@ -178,10 +178,15 @@ def test_run_is_byte_identical_across_runs_and_threads(tmp_path):
 SCHEDULED = [
     ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "20000"],
     ["run", "--model", "synthetic1", "--epsilon", "0.01"],
+    # Four EVPI blocks: at 2 and 3 threads the blocks left when the driver
+    # returns are handed over to the whole pool.
+    ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "200000"],
 ]
 
 
-@pytest.mark.parametrize("argv", SCHEDULED, ids=["evppi-bkoc", "run-synthetic1"])
+@pytest.mark.parametrize(
+    "argv", SCHEDULED, ids=["evppi-bkoc", "run-synthetic1", "evppi-bkoc-evpi-handoff"]
+)
 def test_output_is_byte_identical_at_1_2_and_3_threads(tmp_path, argv):
     blobs = []
     for threads in (1, 2, 3):

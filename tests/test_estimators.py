@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from voimc import (
     MomentAccumulator,
     RandomStream,
     SyntheticModel,
+    estimators,
     synthetic1,
     synthetic2,
     synthetic3,
@@ -286,6 +290,51 @@ def test_evpi_validation_and_determinism():
     with worker_pool(4) as pool:
         b = evpi_mc(synthetic2(), 50_000, RandomStream(31), pool=pool)
     assert a == b
+
+
+def test_evpi_handoff_draws_every_block_once(monkeypatch):
+    # Tiny blocks, more workers than cores and frequent thread switches, so
+    # the worker's claims and the finishing call's claims interleave.
+    monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 64)
+    model, n = synthetic1(), 2000
+    blocks = -(-n // 16)  # 16 draws per block: the budget over 4 values a draw
+    alone = evpi_mc(model, n, RandomStream(41))
+    drawn = []
+    best_block = estimators._best_block
+
+    def recorded(model, m, size, stream):
+        drawn.append(stream.path[-1])
+        if stream.path[-1] == blocks - 1:
+            time.sleep(0.05)  # still running when the finishing call folds
+        return best_block(model, m, size, stream)
+
+    monkeypatch.setattr(estimators, "_best_block", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # None: finish only once the worker has claimed the last block
+        for delay in (0.0, 1e-4, 1e-3, None):
+            drawn.clear()
+            results = []
+
+            def draw():
+                with worker_pool(4) as pool:
+                    finish = estimators._evpi_ahead(model, n, RandomStream(41), pool)
+                    if delay is None:
+                        while blocks - 1 not in drawn:
+                            time.sleep(1e-4)
+                    else:
+                        time.sleep(delay)
+                    results.append(finish())
+
+            thread = threading.Thread(target=draw)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert sorted(drawn) == list(range(blocks)), delay
+            assert results == [alone]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_nested_mc_single_inner_draw_is_zero():

@@ -11,12 +11,20 @@ from voimc import (
     MomentAccumulator,
     RandomStream,
     SyntheticModel,
+    estimators,
+    make_model,
     synthetic1,
     synthetic2,
 )
 from voimc.diagnostics import LevelStats, bias_remainder, stats_from_accumulators
 from voimc.estimators import accumulate_level, worker_pool
-from voimc.mlmc import MlmcConfig, _floored_variances, mlmc_run, optimal_allocation
+from voimc.mlmc import (
+    MlmcConfig,
+    _floored_variances,
+    evppi_report,
+    mlmc_run,
+    optimal_allocation,
+)
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -250,6 +258,27 @@ def test_driver_is_reproducible_across_threads(monkeypatch):
     assert all(thread == threading.get_ident() for thread, _, _, _ in calls)
     assert all(used is pool for _, _, _, used in calls)
     assert sum(n << level for _, level, n, _ in calls) == b.total_cost
+
+
+def test_evpi_blocks_left_by_the_driver_spread_over_the_pool(monkeypatch):
+    model = make_model("bkoc", outer=(5, 14))
+    alone = evppi_report(model, 20.0, 10**6, RandomStream(12))
+    threads = []
+    best_block = estimators._best_block
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return best_block(*args)
+
+    monkeypatch.setattr(estimators, "_best_block", recorded)
+    with worker_pool(2) as pool:
+        shared = evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
+    assert repr(shared) == repr(alone)
+    # 20 EVPI blocks: one worker draws them in order beside the driver, and
+    # those it has not reached when the driver returns go to both workers
+    assert len(threads) == 20
+    assert len(set(threads)) == 2
+    assert threading.get_ident() not in threads
 
 
 def test_cost_growth_under_epsilon_halving():

@@ -1,5 +1,6 @@
 """Model sampling laws, payoff values, and configuration validation."""
 
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from voimc import (
     synthetic3,
 )
 from voimc.models import (
+    BKOC_CORRELATED_PAIRS,
     BKOC_MEANS,
     BKOC_STD_DEVS,
     GaussianModelSpec,
@@ -25,6 +27,10 @@ from voimc.models import (
 
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
+
+# The denser reading of the case study's correlations: every pair among
+# X5, X7, X14 and X16.
+DENSE_PAIRS = tuple((i, j, 0.6) for i, j in itertools.combinations((5, 7, 14, 16), 2))
 
 
 def point_payoffs(model, outer, inner):
@@ -168,13 +174,42 @@ def test_bkoc_conditional_sampling_matches_law():
     np.testing.assert_allclose(np.diag(np.cov(y.T)), np.diag(want_cov), rtol=0.02)
 
 
+# (outer indices, correlated pairs, whether the conditional factor is diagonal)
+SAMPLE_INNER_CASES = [
+    ((5, 14), BKOC_CORRELATED_PAIRS, True),
+    ((7, 16), BKOC_CORRELATED_PAIRS, True),
+    ((5, 6, 14, 15), BKOC_CORRELATED_PAIRS, True),
+    ((3,), BKOC_CORRELATED_PAIRS, False),
+    ((14,), BKOC_CORRELATED_PAIRS, False),
+    ((5, 14), DENSE_PAIRS, False),
+]
+
+
+@pytest.mark.parametrize(
+    "outer,pairs,diagonal",
+    SAMPLE_INNER_CASES,
+    ids=["5,14", "7,16", "5,6,14,15", "3", "14", "dense-5,14"],
+)
+def test_bkoc_sample_inner_is_mean_plus_factor_bit_for_bit(outer, pairs, diagonal):
+    model = BkocModel(GaussianModelSpec(correlated_pairs=pairs, outer_indices=outer))
+    chol = model._chol_cond
+    # exactly the factors with one nonzero per row take the in-place scaling
+    assert (np.count_nonzero(chol, axis=1) == 1).all() == diagonal
+    assert (model._chol_cond_diag is not None) == diagonal
+    for n in (1, 2, 3, 5000):
+        x = model.sample_outer(RandomStream(4, path=(n,)), n)
+        for m in (1, 2, 3, 64):
+            y = model.sample_inner(x, RandomStream(5, path=(n, m)), m)
+            z = RandomStream(5, path=(n, m)).normals((n, m, model.inner_dim))
+            want = model.inner_conditional_means(x)[:, None, :] + z @ chol.T
+            assert y.shape == want.shape
+            assert y.tobytes() == want.tobytes(), (n, m)
+
+
 @pytest.mark.parametrize("pairs", [None, "dense"])
 def test_bkoc_conditional_means_match_brute_force(pairs):
     if pairs == "dense":
-        import itertools
-
-        dense = tuple((i, j, 0.6) for i, j in itertools.combinations((5, 7, 14, 16), 2))
-        model = BkocModel(GaussianModelSpec(correlated_pairs=dense))
+        model = BkocModel(GaussianModelSpec(correlated_pairs=DENSE_PAIRS))
     else:
         model = BkocModel()
     stream = RandomStream(55)
@@ -248,10 +283,7 @@ def test_spec_validation():
 
 
 def test_dense_pairs_accepted():
-    import itertools
-
-    dense = tuple((i, j, 0.6) for i, j in itertools.combinations((5, 7, 14, 16), 2))
-    spec = GaussianModelSpec(correlated_pairs=dense)
+    spec = GaussianModelSpec(correlated_pairs=DENSE_PAIRS)
     corr = spec.correlation_matrix()
     assert corr[4, 6] == 0.6
     assert corr[4, 13] == 0.6

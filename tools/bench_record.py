@@ -8,12 +8,16 @@ Usage, from anywhere:
 For each workload of ``perfbench/run.py`` (all three, 10 pairs each, unless
 ``--workload NAME=PAIRS`` names some) it runs pairs of parent and change,
 alternating which side runs first, each ``--trace 0`` for ``--seconds``,
-and keeps the report line and the metrics line that each run prints. It
-then runs the adaptive driver of each checkout over ``--seeds`` seeds at the
-fixed targets in COST_RUNS and records the median, quartiles and range of
-``total_cost``. Both checkouts run on the same machine, one process at a
-time; the machine record of every run is in its report line. Only the
-standard library is used; each checkout needs its own ``src/voimc``.
+and keeps the report line and the metrics line that each run prints. For
+each end-to-end metric of the change's ``BENCHMARK.json`` it records the
+change/parent ratio of the medians, the parent's interquartile range, and
+whether the change's median stays within the metric's bound, and prints
+that table to stderr. It then runs the adaptive driver of each checkout
+over ``--seeds`` seeds at the fixed targets in COST_RUNS and records the
+median, quartiles and range of ``total_cost``. Both checkouts run on the
+same machine, one process at a time; the machine record of every run is in
+its report line. Only the standard library is used; each checkout needs
+its own ``src/voimc``.
 """
 
 from __future__ import annotations
@@ -89,6 +93,38 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def comparison(summaries: dict, end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric: the change/parent ratio of the medians, the
+    parent's interquartile range, and whether the change's median is worse
+    than the parent's by no more than the metric's bound."""
+    out = {}
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        parent, change = summaries["parent"][name], summaries["change"][name]
+        q1, q3 = parent["quartiles"]
+        ratio = change["median"] / parent["median"]
+        worse_by = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
+        out[name] = {
+            "change_over_parent": ratio,
+            "parent_iqr": q3 - q1,
+            "bound": bound,
+            "within_bound": worse_by <= bound,
+        }
+    return out
+
+
+def print_table(workloads: dict) -> None:
+    print(f"{'workload':<14} {'metric':<20} {'parent median':>14} {'change median':>14} "
+          f"{'ratio':>7} {'parent IQR':>11} within", file=sys.stderr)
+    for workload, record in workloads.items():
+        for name, row in record["comparison"].items():
+            parent = record["summary"]["parent"][name]["median"]
+            change = record["summary"]["change"][name]["median"]
+            print(f"{workload:<14} {name:<20} {parent:>14.6g} {change:>14.6g} "
+                  f"{row['change_over_parent']:>7.4f} {row['parent_iqr']:>11.4g} "
+                  f"{'yes' if row['within_bound'] else 'NO'}", file=sys.stderr)
+
+
 def workload_pairs(spec: str) -> tuple[str, int]:
     name, _, pairs = spec.partition("=")
     if name not in WORKLOADS:
@@ -106,6 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", type=workload_pairs)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}
     for workload, pairs in args.workload or [(name, 10) for name in WORKLOADS]:
@@ -120,12 +157,15 @@ def main(argv=None) -> int:
             for side, side_runs in runs.items()
         }
         wins = sum(c < p for p, c in zip(solve["parent"], solve["change"]))
+        summaries = {side: summary(r) for side, r in runs.items()}
         workloads[workload] = {
             "pairs": pairs,
             "solve_s_pairs_won_by_change": wins,
-            "summary": {side: summary(r) for side, r in runs.items()},
+            "summary": summaries,
+            "comparison": comparison(summaries, end_to_end),
             "runs": runs,
         }
+    print_table(workloads)
     record = {
         "command": "perfbench/run.py --trace 0",
         "seconds": args.seconds,

@@ -116,7 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon", action="append", type=float, help="RMS target for the gap (exactly one)"
     )
     p_evppi.add_argument(
-        "--n", type=int, default=1_000_000, help="samples for the plain-MC EVPI estimate"
+        "--n",
+        type=int,
+        default=1_000_000,
+        help="joint draws for the plain-MC EVPI, taken in antithetic pairs: "
+        "even and at least 4",
     )
     add_common(p_evppi)
 

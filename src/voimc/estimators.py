@@ -37,6 +37,13 @@ array or the middle axis of a (D+1, m, 1) one: numpy sums those pairwise,
 which breaks the bitwise identities at n = 1 (deep levels, and the ragged
 last block of a top-up) and changes the output bits.
 
+The EVPI, E[max_d f_d] - max_d E[f_d], is plain Monte Carlo over joint
+draws (m = 1) taken in antithetic pairs: each block's stream is wrapped so
+that draw j + k/2 of a k-draw block is draw j with every normal negated.
+A block reduces, per decision d, to the moments of the pair-averaged regret
+max_d' f_d' - f_d. The estimate is the least mean regret, and its standard
+error that regret's spread over the pairs.
+
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
 worker count. Every batch routine takes one concurrency parameter, ``pool=``:
@@ -49,7 +56,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -58,7 +64,7 @@ import numpy as np
 
 from .models import DecisionModel
 from .moments import MomentAccumulator
-from .streams import RandomStream
+from .streams import RandomStream, _ReflectedStream
 
 # Block sizing: roughly this many payoff values per block keeps peak memory
 # modest while amortizing vectorization overhead. Block boundaries depend only
@@ -123,15 +129,20 @@ def _p_block(model: DecisionModel, m: int, n: int, stream: RandomStream) -> np.n
     return sums[-1] / m - _decision_max(sums) / m
 
 
-def _best_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
-    """One block of joint draws (m = 1), reduced where it runs: the moments
-    of the pathwise best payoffs, by the arithmetic of ``add_block``, and the
-    per-decision payoff sums. The sums run over an (n, D) copy, so they add
-    rows in outer-draw order; summing the contiguous planes would be pairwise."""
-    g = _payoffs_with_best(model, m, n, stream)[0]
-    best = MomentAccumulator()
-    best.add_block(g[-1])
-    return best, g[:-1].T.copy().sum(axis=0)
+def _regret_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
+    """One block of n joint draws (m = 1) in n/2 antithetic pairs, reduced
+    where it runs: per decision d, the moments of the pair-averaged regret
+    max_d' f_d' - f_d. Draw j + n/2 reflects draw j (see _ReflectedStream)."""
+    g = _payoffs_with_best(model, m, n, _ReflectedStream(stream))[0]
+    np.subtract(g[-1], g[:-1], out=g[:-1])
+    half = n // 2
+    pairs = g[:-1, :half]
+    pairs += g[:-1, half:]
+    pairs *= 0.5
+    accs = [MomentAccumulator() for _ in range(model.decision_count)]
+    for acc, row in zip(accs, pairs):
+        acc.add_block(row)
+    return accs
 
 
 @contextmanager
@@ -170,11 +181,14 @@ def _map_blocks(
     return map(run, plan) if pool is None else pool.map(run, plan)
 
 
-def _block_plan(model: DecisionModel, m: int, n: int, first_block: int = 0):
+def _block_plan(
+    model: DecisionModel, m: int, n: int, first_block: int = 0, unit: int = 1
+):
     """(block index, outer draws) of each block of n outer draws with m inner
-    draws each. Sizes depend only on the model's dimensions and m."""
+    draws each. Sizes depend only on the model's dimensions and m, and every
+    size but the last is a whole number of ``unit`` draws."""
     width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    size = max(1, _BLOCK_VALUE_BUDGET // width)
+    size = max(unit, _BLOCK_VALUE_BUDGET // width // unit * unit)
     return [
         (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
     ]
@@ -241,30 +255,37 @@ def sample_level_batch(
 def evpi_mc(
     model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
 ) -> Estimate:
-    """Plain-MC EVPI: mean of the pathwise best payoff minus the best decision
-    in expectation, from n joint draws.
+    """Plain-MC EVPI from n joint draws taken in n/2 antithetic pairs: each
+    pair is a draw and its reflection, all normals negated (n must be even).
 
-    The reported standard error covers the first term only; the second term
-    averages before taking the max and is far more accurate, so its noise is
-    ignored.
+    The estimate is the mean regret of the decision d_hat that is best on
+    average, mean(max_d f_d - f_d_hat), which equals
+    mean(max_d f_d) - max_d mean(f_d). Its standard error is that regret's
+    spread over the pairs, sqrt(var / (n/2)), with each pair's regrets
+    averaged first.
     """
-    return _evpi_ahead(model, n, stream, pool)()
+    with _evpi_ahead(model, n, stream, pool) as finish:
+        return finish()
 
 
+@contextmanager
 def _evpi_ahead(
     model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
-) -> Callable[[], Estimate]:
-    """Start the estimate of :func:`evpi_mc`; the returned call finishes it.
+):
+    """Start the estimate of :func:`evpi_mc`; the call the ``with`` block
+    gets finishes it.
 
     With a pool, one of its workers claims the blocks in block order from
     now on, so the EVPI runs beside whatever else the pool is given. The
-    returned call stops the claims, maps every block not yet claimed over
+    finishing call stops the claims, maps every block not yet claimed over
     the pool, and folds all of them in block order. Without a pool nothing
-    starts, and the returned call draws every block on the caller's thread.
-    The fold is the same either way, so the estimate is too."""
-    if n <= 0:
-        raise ValueError("sample count must be positive")
-    plan = _block_plan(model, 1, n)
+    starts, and the finishing call draws every block on the caller's
+    thread. The fold is the same either way, so the estimate is too.
+    Leaving the ``with`` block, by an error say, stops the claims too; the
+    worker then ends after the block it holds, and no other is drawn."""
+    if n <= 0 or n % 2:
+        raise ValueError("the antithetic EVPI needs a positive, even sample count")
+    plan = _block_plan(model, 1, n, unit=2)
     # Every index goes to exactly one claimant: the worker, or the finishing
     # call. None once all are claimed.
     indices = iter(range(len(plan)))
@@ -277,7 +298,7 @@ def _evpi_ahead(
 
     def run(i):
         idx, size = plan[i]
-        return _best_block(model, 1, size, stream.split(idx))
+        return _regret_block(model, 1, size, stream.split(idx))
 
     def claim_in_order():
         for i in iter(claim, None):
@@ -290,18 +311,19 @@ def _evpi_ahead(
         drawn.update(zip(rest, map(run, rest) if pool is None else pool.map(run, rest)))
         if claimer is not None:
             claimer.result()
-        acc_best = MomentAccumulator()
-        block_sums = []
+        regrets = [MomentAccumulator() for _ in range(model.decision_count)]
         for i in range(len(plan)):
-            best, sums = drawn[i]
-            acc_best.merge(best)
-            block_sums.append(sums)
-        best_of_means = max(math.fsum(column) / n for column in zip(*block_sums))
-        value = acc_best.mean - best_of_means
-        std_error = math.sqrt(acc_best.variance() / n) if n > 1 else math.nan
-        return Estimate(value=value, std_error=std_error)
+            for acc, block in zip(regrets, drawn[i]):
+                acc.merge(block)
+        best = min(regrets, key=lambda acc: acc.mean)
+        std_error = math.sqrt(best.variance() / best.n) if best.n > 1 else math.nan
+        return Estimate(value=best.mean, std_error=std_error)
 
-    return finish
+    try:
+        yield finish
+    finally:
+        for _ in iter(claim, None):
+            pass
 
 
 def nested_mc(

@@ -408,8 +408,11 @@ class EvppiReport:
     """EVPI, the partial-information gap, and their difference EVPPI.
 
     ``evppi`` is computed as ``evpi - difference``, so that identity holds
-    exactly in the report. RMS errors for the multilevel quantities combine
-    the estimator variance with the bias remainder estimate.
+    exactly in the report. ``evpi`` is plain MC over ``n_evpi`` joint draws
+    in antithetic pairs, and ``evpi_std_error`` is the spread of the
+    pair-averaged regret of the best decision over the ``n_evpi / 2``
+    pairs. RMS errors for the multilevel quantities combine the estimator
+    variance with the bias remainder estimate.
     """
 
     evpi: float
@@ -437,16 +440,23 @@ def evppi_report(
     With a pool both share it, and no worker idles at the end: while the
     driver runs, one worker draws the EVPI's blocks in block order, and
     once the driver returns every EVPI block still unclaimed is spread over
-    the whole pool. The EVPI's blocks run only on the pool's workers.
+    the whole pool. The EVPI's blocks run only on the pool's workers. If
+    the driver raises, the EVPI claims no further block and the error
+    propagates. The EVPI is drawn in antithetic pairs (see
+    :func:`~voimc.estimators.evpi_mc`), so ``n_evpi`` is even and at
+    least 4.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """
-    if n_evpi < 2:
-        raise ConfigError("the EVPI estimate needs at least two samples")
+    if n_evpi < 4 or n_evpi % 2:
+        raise ConfigError(
+            "the EVPI estimate needs an even number of draws, at least 4: "
+            "two antithetic pairs"
+        )
     config = MlmcConfig(epsilon=float(epsilon))
-    finish_evpi = _evpi_ahead(model, int(n_evpi), stream.split(0), pool)
-    result = mlmc_run(model, config, stream.split(1), pool=pool)
-    evpi = finish_evpi()
+    with _evpi_ahead(model, int(n_evpi), stream.split(0), pool) as finish_evpi:
+        result = mlmc_run(model, config, stream.split(1), pool=pool)
+        evpi = finish_evpi()
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
     difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
     evppi_rms = math.sqrt(evpi.std_error**2 + difference_rms**2)

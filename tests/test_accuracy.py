@@ -1,5 +1,6 @@
 """Accuracy over many seeds: the driver promises a mean-square error of at
-most eps^2, and one seed cannot show that.
+most eps^2, and the EVPI reports a standard error; one seed can show
+neither.
 
 Each check runs the driver on seeds 1000, 1001, ... and compares the
 empirical MSE against eps^2 with a one-sided chi-square allowance. If the R
@@ -13,9 +14,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 from scipy.stats import chi2
 
 from voimc import RandomStream, make_model, synthetic1
+from voimc.estimators import evpi_mc
 from voimc.mlmc import MlmcConfig, mlmc_run
 
 # Chance that a driver which keeps its promise fails one check.
@@ -67,3 +70,15 @@ def test_bkoc_mse_within_eps_squared():
         f"MSE/eps^2 {mse / epsilon**2:.3f} > {limit / epsilon**2:.3f} over {seeds} seeds "
         f"(mean error {bias / epsilon:+.3f} eps)"
     )
+
+
+def test_evpi_error_matches_its_spread_over_seeds():
+    # The spread of 200 estimates has a relative standard error of about
+    # 1/sqrt(2 * 199) = 0.05, so the band is about three of those wide on
+    # either side of 1. The error before pairs, sd(max f)/sqrt(n), reads
+    # 0.86 here.
+    model, n, seeds = make_model("bkoc", outer=(5, 14)), 20_000, 200
+    estimates = [evpi_mc(model, n, RandomStream(FIRST_SEED + k)) for k in range(seeds)]
+    spread = np.std([e.value for e in estimates], ddof=1)
+    reported = np.mean([e.std_error for e in estimates])
+    assert 0.85 <= spread / reported <= 1.18, (spread, reported)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voimc import (
+    ConfigError,
     InsufficientDataError,
     MomentAccumulator,
     RandomStream,
@@ -239,8 +240,10 @@ def test_evppi_report_identity():
 
 
 def test_evppi_report_partition_handling():
-    with pytest.raises(ValueError):
-        evppi_report(synthetic1(), epsilon=0.1, n_evpi=1, stream=RandomStream(0))
+    # the EVPI is drawn in antithetic pairs, and its error needs two
+    for n_evpi in (1, 2, 3, 5, 20_001):
+        with pytest.raises(ConfigError):
+            evppi_report(synthetic1(), epsilon=0.1, n_evpi=n_evpi, stream=RandomStream(0))
     # the report runs on the model's own partition, chosen when it is built
     report = evppi_report(
         make_model("bkoc", outer=(7, 16)), epsilon=100.0, n_evpi=5000, stream=RandomStream(9)

@@ -11,6 +11,7 @@ import pytest
 
 from voimc import (
     BkocModel,
+    DecisionModel,
     MomentAccumulator,
     RandomStream,
     SyntheticModel,
@@ -278,18 +279,82 @@ def test_evpi_closed_form():
     est = evpi_mc(synthetic1(), 400_000, RandomStream(29))
     want = 1.0 / math.sqrt(math.pi)
     assert abs(est.value - want) <= 4.5 * est.std_error
-    # Var[max(0, X+Y)] = 1 - 1/pi
-    want_se = math.sqrt((1.0 - 1.0 / math.pi) / 400_000)
+    # With S = X + Y ~ N(0, 2) and its reflection -S, both decisions' pair
+    # regrets are exactly |S|/2, of variance 1/2 - 1/pi, over n/2 pairs
+    want_se = math.sqrt((0.5 - 1.0 / math.pi) / 200_000)
     assert est.std_error == pytest.approx(want_se, rel=0.05)
 
 
 def test_evpi_validation_and_determinism():
     with pytest.raises(ValueError):
         evpi_mc(synthetic1(), 0, RandomStream(0))
+    for odd in (1, 3, 50_001):
+        with pytest.raises(ValueError):
+            evpi_mc(synthetic1(), odd, RandomStream(0))
     a = evpi_mc(synthetic2(), 50_000, RandomStream(31))
     with worker_pool(4) as pool:
         b = evpi_mc(synthetic2(), 50_000, RandomStream(31), pool=pool)
     assert a == b
+
+
+class RecordingModel(DecisionModel):
+    """Two outer and three inner normals per draw, recorded as drawn; the
+    payoffs are a fixed linear mix of them."""
+
+    name = "recording"
+    decision_count = 3
+    outer_dim = 2
+    inner_dim = 3
+
+    def __init__(self):
+        self.calls = []
+
+    def sample_outer(self, stream, n):
+        z = stream.normals((n, 2))
+        self.calls.append(("outer", z.copy()))
+        return z
+
+    def sample_inner(self, outer, stream, m):
+        z = stream.normals((outer.shape[0], m, 3))
+        self.calls.append(("inner", z.copy()))
+        return z
+
+    def payoffs(self, outer, inner, out=None):
+        n, m = inner.shape[:2]
+        f = np.empty((m, 3, n)).transpose(2, 0, 1) if out is None else out
+        f[...] = inner
+        f += outer[:, None, :1]
+        f[..., 2] -= outer[:, None, 1]
+        return f
+
+
+@pytest.mark.parametrize("pairs_per_block", [5, 4])
+def test_evpi_draws_reflected_pairs(monkeypatch, pairs_per_block):
+    # 1 * (3 + 1 + 3) = 7 values a draw, so two full blocks of
+    # pairs_per_block pairs and a ragged last block of 3 pairs
+    monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 7 * 2 * pairs_per_block)
+    model = RecordingModel()
+    n = 4 * pairs_per_block + 6
+    est = evpi_mc(model, n, RandomStream(5))
+    sizes = [len(z) for kind, z in model.calls if kind == "outer"]
+    assert sizes == [2 * pairs_per_block] * 2 + [6]
+    outers, inners = [], []
+    for b, k in enumerate(sizes):
+        (kind_x, x), (kind_y, y) = model.calls[2 * b : 2 * b + 2]
+        assert (kind_x, kind_y) == ("outer", "inner")
+        assert x.shape == (k, 2) and y.shape == (k, 1, 3)
+        half = k // 2
+        for z in (x, y):
+            assert z[half:].tobytes() == (-z[:half]).tobytes()
+        # the fresh halves are the block substream's public draws, in order
+        sub = RandomStream(5).split(b)
+        assert x[:half].tobytes() == sub.normals((half, 2)).tobytes()
+        assert y[:half].tobytes() == sub.normals((half, 1, 3)).tobytes()
+        outers.append(x)
+        inners.append(y)
+    f = model.payoffs(np.concatenate(outers), np.concatenate(inners))[:, 0, :]
+    want = f.max(axis=1).mean() - f.mean(axis=0).max()
+    assert est.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_evpi_handoff_draws_every_block_once(monkeypatch):
@@ -300,15 +365,15 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
     blocks = -(-n // 16)  # 16 draws per block: the budget over 4 values a draw
     alone = evpi_mc(model, n, RandomStream(41))
     drawn = []
-    best_block = estimators._best_block
+    regret_block = estimators._regret_block
 
     def recorded(model, m, size, stream):
         drawn.append(stream.path[-1])
         if stream.path[-1] == blocks - 1:
             time.sleep(0.05)  # still running when the finishing call folds
-        return best_block(model, m, size, stream)
+        return regret_block(model, m, size, stream)
 
-    monkeypatch.setattr(estimators, "_best_block", recorded)
+    monkeypatch.setattr(estimators, "_regret_block", recorded)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -319,13 +384,13 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
 
             def draw():
                 with worker_pool(4) as pool:
-                    finish = estimators._evpi_ahead(model, n, RandomStream(41), pool)
-                    if delay is None:
-                        while blocks - 1 not in drawn:
-                            time.sleep(1e-4)
-                    else:
-                        time.sleep(delay)
-                    results.append(finish())
+                    with estimators._evpi_ahead(model, n, RandomStream(41), pool) as finish:
+                        if delay is None:
+                            while blocks - 1 not in drawn:
+                                time.sleep(1e-4)
+                        else:
+                            time.sleep(delay)
+                        results.append(finish())
 
             thread = threading.Thread(target=draw)
             thread.start()
@@ -381,31 +446,31 @@ KERNEL_DIGESTS = {
     "synthetic1": {
         "level_batch": "fd86ee4ae5f0d15639d70c0a3da2a7981b0cc280b49414e04f6ffefb6591f989",
         "p_level": "90eb4efeebb6d89c171a62fbe317b9406afae115de1cf6dbfd4a3884b1a528d1",
-        "evpi": "412195800512371797bef5928dcbd5c76a54d71adf542a19b3faa6035e2e7364",
+        "evpi": "3c1468251516d249df34ed0c41b78ac7109003a3b2e85fda47cb406e60f3ae81",
         "nested": "6365e9cd3b2f5d2a91ebae1efe23ea54666dd06262ccfb5075259fe1016c9d53",
     },
     "synthetic2": {
         "level_batch": "ed442592030d119dc7afe177e43e4742ce8552bed698248ab6af55f357d10b2d",
         "p_level": "97597b76fb00168c172dba8eb12bf08665b2a4dfe5c46b16025ddeefba824710",
-        "evpi": "4602794cf56d8f69eb4ae47b78f8c1d314a5e95883c291d70e6dcdc18f625e82",
+        "evpi": "83af6f04320183e69bdf7fc017ebaf9070839a593e0ab96b4e4872aa4b4ca63a",
         "nested": "dccbd758b6a72e26cf6ea33dbbf405220f598526de11f7ca9cf38f9530aaf3ec",
     },
     "synthetic3": {
         "level_batch": "1d46180ff7c3359f303c8c583c20acacc591237ce66f238944649fc544efc87c",
         "p_level": "793b824efbae295478e2429d53cb8f20da74a6bc4e642daa8bfc5e3a1e917d74",
-        "evpi": "6243ed34ea9c41a2b62381549dd53d1802b24c4906a317846efc81eb913eb25b",
+        "evpi": "21dc6f7708187a4f46623dc3f25abb1671bca54a1797d0dfd8d1b29d1705bc08",
         "nested": "fc8d84c8b597a6bc0a930bb692e87e8cd22fbef4dd2a6ef565676dae0629f80e",
     },
     "bkoc_5_14": {
         "level_batch": "4301de1f9d58af2e1a4407951c83eebda72c437e129c099c993ddf432678ef33",
         "p_level": "f16e4740d57f76c8cbcbdd54aa529d3764c06b7261424aa86618f75cdcba2dd3",
-        "evpi": "14a4098ac294443eb29b77bd70bb80a875a73b1f3e0e77bc0be15634df75be61",
+        "evpi": "bb7a7f7100e443e47e7bdc12af3e0e476f558cdc3dab8f077fedb144a5eab671",
         "nested": "8ad78d4790798444095d0573a1a9a32685dba492de6cd803f74538ee456d7044",
     },
     "bkoc_3": {
         "level_batch": "0d56e2f91ece369ec9a6c466a60cd428b850c01a54c3cd19d1ff112ee37b48b8",
         "p_level": "e8d9115d5f71b4c9ce8db3ed1605409dde543f91ee48524dcac15ff9895ab6bc",
-        "evpi": "a4b28cce3d928eb489d4ab6df3042bd9f71555dd66a4d350554a8df3c433d3a5",
+        "evpi": "1bfe38e08d76e01eb358ba80585fddecf14a33afed1ea55a002af29bc4eb009b",
         "nested": "123530298e1ad80b791cd5aa07e51c972b1d69f01e52b039c0d36392fce0675b",
     },
 }
@@ -431,7 +496,11 @@ def kernel_digests(model):
                 acc = MomentAccumulator()
                 accumulate_p_level(model, level, n, RandomStream(level), acc, pool=pool)
             put("p_level", acc.n, acc.mean, acc.m2, acc.m3, acc.m4)
-    for n, threads in runs(1):
+    # the EVPI in whole pairs: 1, 2 and 3 pairs, a full block, and a full
+    # block plus one pair
+    full = full_block(model, 1)
+    assert full % 2 == 0
+    for n, threads in [(2, 1), (4, 1), (6, 1), (full, 1), (full + 2, 2)]:
         with worker_pool(threads) as pool:
             est = evpi_mc(model, n, RandomStream(n), pool=pool)
         put("evpi", est.value, est.std_error)

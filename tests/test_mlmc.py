@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from voimc import (
     SyntheticModel,
     estimators,
     make_model,
+    mlmc,
     synthetic1,
     synthetic2,
 )
@@ -264,13 +266,13 @@ def test_evpi_blocks_left_by_the_driver_spread_over_the_pool(monkeypatch):
     model = make_model("bkoc", outer=(5, 14))
     alone = evppi_report(model, 20.0, 10**6, RandomStream(12))
     threads = []
-    best_block = estimators._best_block
+    regret_block = estimators._regret_block
 
     def recorded(*args):
         threads.append(threading.get_ident())
-        return best_block(*args)
+        return regret_block(*args)
 
-    monkeypatch.setattr(estimators, "_best_block", recorded)
+    monkeypatch.setattr(estimators, "_regret_block", recorded)
     with worker_pool(2) as pool:
         shared = evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
     assert repr(shared) == repr(alone)
@@ -279,6 +281,30 @@ def test_evpi_blocks_left_by_the_driver_spread_over_the_pool(monkeypatch):
     assert len(threads) == 20
     assert len(set(threads)) == 2
     assert threading.get_ident() not in threads
+
+
+def test_driver_error_stops_the_evpi_claims(monkeypatch):
+    # the driver fails 50 ms in: the error propagates, and the worker that
+    # claims the EVPI's 20 blocks stops after the block it holds
+    model = make_model("bkoc", outer=(5, 14))
+    drawn = []
+    regret_block = estimators._regret_block
+
+    def recorded(*args):
+        drawn.append(args[-1].path[-1])
+        return regret_block(*args)
+
+    def failing(*args, **kwargs):
+        time.sleep(0.05)
+        raise RuntimeError("driver failed")
+
+    monkeypatch.setattr(estimators, "_regret_block", recorded)
+    monkeypatch.setattr(mlmc, "mlmc_run", failing)
+    with pytest.raises(RuntimeError, match="driver failed"):
+        with worker_pool(2) as pool:
+            evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
+    assert 1 <= len(drawn) <= 10
+    assert drawn == list(range(len(drawn)))
 
 
 def test_cost_growth_under_epsilon_halving():

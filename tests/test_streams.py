@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voimc import RandomStream
+from voimc.streams import _ReflectedStream
 
 
 def test_same_identity_reproduces_draws():
@@ -91,3 +92,36 @@ def test_normals_roughly_standard():
 def test_draw_count_validation():
     with pytest.raises(ValueError):
         RandomStream(1).uniforms(-1)
+
+
+def test_reflected_stream_pairs_each_row_with_its_reflection():
+    stream = _ReflectedStream(RandomStream(5))
+    fresh = RandomStream(5)
+    # the last two draw their fresh half in more than one chunk
+    for shape in ((6,), (4, 3), (10, 2, 3), (80_002, 1), (20_000, 2, 3)):
+        z = stream.normals(shape[0] if len(shape) == 1 else shape)
+        want = fresh.normals((shape[0] // 2, *shape[1:]))
+        half = shape[0] // 2
+        assert z.shape == shape
+        assert z[:half].tobytes() == want.tobytes()
+        assert z[half:].tobytes() == (-want).tobytes()
+    for n in (8, 80_000):
+        u = stream.uniforms(n)
+        want = fresh.uniforms(n // 2)
+        assert u[: n // 2].tobytes() == want.tobytes()
+        np.testing.assert_array_equal(u[n // 2 :], 1.0 - want)
+    for bad in (lambda: stream.normals((3, 2)), lambda: stream.uniforms(5)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_reflected_uniforms_stay_below_one():
+    # a raw draw of 0.0 is clamped to 2^-54, whose reflection rounds to 1.0,
+    # where the inverse normal CDF is infinite
+    class Clamped:
+        def uniforms(self, n):
+            return np.full(n, 2.0**-54)
+
+    u = _ReflectedStream(Clamped()).uniforms(2)
+    assert u[0] == 2.0**-54
+    assert u[1] == 1.0 - 2.0**-53

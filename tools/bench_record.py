@@ -14,7 +14,9 @@ change/parent ratio of the medians, the parent's interquartile range, and
 whether the change's median stays within the metric's bound, and prints
 that table to stderr. It then runs the adaptive driver of each checkout
 over ``--seeds`` seeds at the fixed targets in COST_RUNS and records the
-median, quartiles and range of ``total_cost``. Both checkouts run on the
+median, quartiles and range of ``total_cost``, and ``evpi_mc`` over
+``--evpi-seeds`` seeds (EVPI_RUN) for the spread of its estimates against
+its median reported error. Both checkouts run on the
 same machine, one process at a time; the machine record of every run is in
 its report line. Only the standard library is used; each checkout needs
 its own ``src/voimc``.
@@ -52,6 +54,22 @@ print(json.dumps([
 """
 
 
+# The EVPI-over-seeds record: model, partition and joint draws per estimate.
+EVPI_RUN = ("bkoc", (5, 14), 50_000)
+
+EVPI_CODE = """\
+import json, sys
+from voimc import RandomStream, make_model
+from voimc.estimators import evpi_mc
+name, outer, n, seeds = json.loads(sys.argv[1])
+model = make_model(name, outer=tuple(outer))
+print(json.dumps([
+    [e.value, e.std_error]
+    for e in (evpi_mc(model, n, RandomStream(seed)) for seed in range(1, seeds + 1))
+]))
+"""
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -81,6 +99,29 @@ def costs_over_seeds(tree: Path, seeds: int) -> dict:
             "total_cost": costs,
         }
     return out
+
+
+def evpi_over_seeds(tree: Path, seeds: int) -> dict:
+    """The spread of the EVPI's estimates over seeds 1..N against the median
+    of the standard errors it reports; a calibrated error gives a ratio
+    near 1."""
+    name, outer, n = EVPI_RUN
+    done = subprocess.run(
+        [sys.executable, "-c", EVPI_CODE, json.dumps([name, outer, n, seeds])],
+        env=dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, check=True,
+    )
+    values, errors = zip(*json.loads(done.stdout))
+    spread = statistics.stdev(values)
+    median_error = statistics.median(errors)
+    return {
+        "model": f"{name} {tuple(outer)} n={n}",
+        "seeds": f"1..{seeds}",
+        "mean": statistics.fmean(values),
+        "spread": spread,
+        "median_reported_error": median_error,
+        "spread_over_reported": spread / median_error,
+    }
 
 
 def summary(runs: list[dict]) -> dict:
@@ -139,6 +180,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--seeds", type=int, default=20)
+    parser.add_argument("--evpi-seeds", type=int, default=40)
     parser.add_argument("--workload", action="append", type=workload_pairs)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -173,6 +215,9 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "total_cost_over_seeds": {
             side: costs_over_seeds(tree, args.seeds) for side, tree in trees.items()
+        },
+        "evpi_over_seeds": {
+            side: evpi_over_seeds(tree, args.evpi_seeds) for side, tree in trees.items()
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

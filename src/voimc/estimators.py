@@ -64,7 +64,7 @@ import numpy as np
 
 from .models import DecisionModel
 from .moments import MomentAccumulator
-from .streams import RandomStream, _ReflectedStream
+from .streams import RandomStream, VariateSource, _ReflectedStream
 
 # Block sizing: roughly this many payoff values per block keeps peak memory
 # modest while amortizing vectorization overhead. Block boundaries depend only
@@ -81,7 +81,7 @@ class Estimate:
 
 
 def _payoffs_with_best(
-    model: DecisionModel, m: int, n: int, stream: RandomStream
+    model: DecisionModel, m: int, n: int, stream: VariateSource
 ) -> np.ndarray:
     """Payoff block of shape (m, D+1, n): one (m, n) plane per decision, and
     a last plane holding the pathwise best payoff, so one reduction call

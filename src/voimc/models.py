@@ -3,8 +3,10 @@
 A decision model exposes a partition of its random inputs into an outer part
 X (the quantities one could learn before deciding) and an inner part Y (the
 residual uncertainty), together with one payoff function per decision. All
-sampling goes through :class:`~voimc.streams.RandomStream`, and batch methods
-are vectorized: ``n`` outer draws at a time, ``m`` inner draws per outer draw.
+sampling goes through :class:`~voimc.streams.VariateSource` (a
+:class:`~voimc.streams.RandomStream` or the EVPI's antithetic stand-in for
+one), and batch methods are vectorized: ``n`` outer draws at a time, ``m``
+inner draws per outer draw.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError, ConfigError
-from .streams import RandomStream
+from .streams import VariateSource
 
 
 class DecisionModel(ABC):
@@ -33,6 +35,17 @@ class DecisionModel(ABC):
 
     A model whose E[f_d | X] is known in closed form also overrides
     :meth:`conditional_means`.
+
+    ``sample_outer`` and ``sample_inner`` draw only through the
+    ``normals`` and ``uniforms`` of the stream they receive, and use no
+    other member of it (no ``split``, ``seed`` or ``path``). The leading
+    axis of every ``normals`` shape, and the count of every ``uniforms``
+    call, runs over outer rows. The EVPI passes an antithetic stand-in
+    whose call for k rows returns k/2 fresh rows followed by their
+    reflection (normals negated, uniforms u -> 1 - u), so row j + k/2 must
+    belong to outer draw j + k/2. A draw laid out another way, say
+    ``stream.normals((inner_dim, n)).T``, would pair variables within one
+    draw and bias the EVPI without an error.
     """
 
     name: str
@@ -41,12 +54,16 @@ class DecisionModel(ABC):
     inner_dim: int
 
     @abstractmethod
-    def sample_outer(self, stream: RandomStream, n: int) -> np.ndarray:
-        """Draw ``n`` outer samples; shape (n, outer_dim)."""
+    def sample_outer(self, stream: VariateSource, n: int) -> np.ndarray:
+        """Draw ``n`` outer samples; shape (n, outer_dim). Every draw from
+        ``stream`` has its leading axis over the ``n`` rows (see the class
+        docstring)."""
 
     @abstractmethod
-    def sample_inner(self, outer: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
-        """Draw ``m`` inner samples per outer row from Y | X; shape (n, m, inner_dim)."""
+    def sample_inner(self, outer: np.ndarray, stream: VariateSource, m: int) -> np.ndarray:
+        """Draw ``m`` inner samples per outer row from Y | X; shape (n, m, inner_dim).
+        Every draw from ``stream`` has its leading axis over the outer rows
+        (see the class docstring)."""
 
     @abstractmethod
     def payoffs(
@@ -102,10 +119,10 @@ class SyntheticModel(DecisionModel):
         self._shifts = tuple(shifts)
         self._noise = tuple(float(c) for c in noise)
 
-    def sample_outer(self, stream: RandomStream, n: int) -> np.ndarray:
+    def sample_outer(self, stream: VariateSource, n: int) -> np.ndarray:
         return stream.normals((int(n), 1))
 
-    def sample_inner(self, outer: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
+    def sample_inner(self, outer: np.ndarray, stream: VariateSource, m: int) -> np.ndarray:
         return stream.normals((outer.shape[0], int(m), 1))
 
     def payoffs(
@@ -333,11 +350,11 @@ class BkocModel(DecisionModel):
             for terms in _BKOC_TERMS_RAW
         )
 
-    def sample_outer(self, stream: RandomStream, n: int) -> np.ndarray:
+    def sample_outer(self, stream: VariateSource, n: int) -> np.ndarray:
         z = stream.normals((int(n), self.outer_dim))
         return self._mu_outer + z @ self._chol_outer.T
 
-    def sample_inner(self, outer: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
+    def sample_inner(self, outer: np.ndarray, stream: VariateSource, m: int) -> np.ndarray:
         """Conditional draws ``mean + z @ L.T``, L the Cholesky factor of the
         conditional covariance. When L is diagonal the normals are scaled by
         it and shifted by the mean in place: the same bits, since each

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Protocol
 
 import numpy as np
 from scipy.special import ndtri
@@ -72,6 +73,18 @@ class RandomStream:
         shape = _shape(shape)
         u = self.uniforms(math.prod(shape))
         return ndtri(u, out=u).reshape(shape)
+
+
+class VariateSource(Protocol):
+    """What a model's ``sample_outer`` and ``sample_inner`` receive: a
+    :class:`RandomStream`, or the EVPI's antithetic stand-in for one
+    (``_ReflectedStream``). A model draws only through these two members,
+    with the leading axis of every ``normals`` shape, and the count of every
+    ``uniforms`` call, running over outer rows."""
+
+    def uniforms(self, n: int) -> np.ndarray: ...
+
+    def normals(self, shape: int | tuple[int, ...]) -> np.ndarray: ...
 
 
 class _ReflectedStream:

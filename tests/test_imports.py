@@ -103,7 +103,7 @@ PUBLIC = {
         "synthetic3",
     },
     "moments": {"MomentAccumulator"},
-    "streams": {"RandomStream"},
+    "streams": {"RandomStream", "VariateSource"},
 }
 
 

@@ -14,9 +14,9 @@ change/parent ratio of the medians, the parent's interquartile range, and
 whether the change's median stays within the metric's bound, and prints
 that table to stderr. It then runs the adaptive driver of each checkout
 over ``--seeds`` seeds at the fixed targets in COST_RUNS and records the
-median, quartiles and range of ``total_cost``, and ``evpi_mc`` over
-``--evpi-seeds`` seeds (EVPI_RUN) for the spread of its estimates against
-its median reported error. Both checkouts run on the
+median, quartiles and range of ``total_cost``, and ``evpi_mc`` over the
+seeds of EVPI_RUN for the spread of its estimates against its median
+reported error. Both checkouts run on the
 same machine, one process at a time; the machine record of every run is in
 its report line. Only the standard library is used; each checkout needs
 its own ``src/voimc``.
@@ -54,8 +54,9 @@ print(json.dumps([
 """
 
 
-# The EVPI-over-seeds record: model, partition and joint draws per estimate.
-EVPI_RUN = ("bkoc", (5, 14), 50_000)
+# The EVPI-over-seeds record: model, partition, joint draws per estimate,
+# and the number of seeds (1..N).
+EVPI_RUN = ("bkoc", (5, 14), 50_000, 40)
 
 EVPI_CODE = """\
 import json, sys
@@ -101,11 +102,11 @@ def costs_over_seeds(tree: Path, seeds: int) -> dict:
     return out
 
 
-def evpi_over_seeds(tree: Path, seeds: int) -> dict:
+def evpi_over_seeds(tree: Path) -> dict:
     """The spread of the EVPI's estimates over seeds 1..N against the median
     of the standard errors it reports; a calibrated error gives a ratio
     near 1."""
-    name, outer, n = EVPI_RUN
+    name, outer, n, seeds = EVPI_RUN
     done = subprocess.run(
         [sys.executable, "-c", EVPI_CODE, json.dumps([name, outer, n, seeds])],
         env=dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1"),
@@ -180,7 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--evpi-seeds", type=int, default=40)
     parser.add_argument("--workload", action="append", type=workload_pairs)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
             side: costs_over_seeds(tree, args.seeds) for side, tree in trees.items()
         },
         "evpi_over_seeds": {
-            side: evpi_over_seeds(tree, args.evpi_seeds) for side, tree in trees.items()
+            side: evpi_over_seeds(tree) for side, tree in trees.items()
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -118,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evppi.add_argument(
         "--n",
         type=int,
-        default=1_000_000,
         help="joint draws for the plain-MC EVPI, taken in antithetic pairs: "
-        "even and at least 4",
+        "even and at least 4 (default: sized by a pilot block for a standard "
+        "error of about epsilon/2)",
     )
     add_common(p_evppi)
 
@@ -409,13 +409,8 @@ def _cmd_compare(args, model: DecisionModel, pool: Executor | None) -> dict:
 
 def _cmd_evppi(args, model: DecisionModel, pool: Executor | None) -> dict:
     epsilon = _single_epsilon(args)
-    report = evppi_report(
-        model,
-        epsilon,
-        _positive(args.n, "--n"),
-        RandomStream(args.seed),
-        pool=pool,
-    )
+    n_evpi = None if args.n is None else _positive(args.n, "--n")
+    report = evppi_report(model, epsilon, n_evpi, RandomStream(args.seed), pool=pool)
     row = tuple(getattr(report, column) for column in _EVPPI_COLUMNS)
     status = "" if report.converged else " NOT CONVERGED"
     return dict(

@@ -42,7 +42,8 @@ draws (m = 1) taken in antithetic pairs: each block's stream is wrapped so
 that draw j + k/2 of a k-draw block is draw j with every normal negated.
 A block reduces, per decision d, to the moments of the pair-averaged regret
 max_d' f_d' - f_d. The estimate is the least mean regret, and its standard
-error that regret's spread over the pairs.
+error that regret's spread over the pairs. The number of draws is given,
+or sized from a target by a pilot block (see _evpi_ahead).
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
@@ -74,10 +75,11 @@ _BLOCK_VALUE_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class Estimate:
-    """A plain Monte Carlo estimate with its standard error."""
+    """A plain Monte Carlo estimate with its standard error, from n draws."""
 
     value: float
     std_error: float
+    n: int
 
 
 def _payoffs_with_best(
@@ -157,41 +159,56 @@ def worker_pool(threads: int):
         yield pool
 
 
-def _map_blocks(
-    kernel,
-    model: DecisionModel,
-    m: int,
-    n: int,
-    stream: RandomStream,
-    pool: Executor | None = None,
-    first_block: int = 0,
-):
-    """Results of ``kernel(model, m, size, stream.split(block_index))`` for
-    each block of n outer draws with m inner draws each, in block order. With
-    a pool every block is submitted at once and runs on its workers; without
-    one, each block runs on the caller's thread as the results are read.
-    Block sizes depend only on the model's dimensions and m; block indices
-    count up from ``first_block``."""
-    plan = _block_plan(model, m, n, first_block)
-
-    def run(item):
-        idx, block_size = item
-        return kernel(model, m, block_size, stream.split(idx))
-
-    return map(run, plan) if pool is None else pool.map(run, plan)
+def _block_size(model: DecisionModel, m: int, unit: int = 1) -> int:
+    """Outer draws in a full block with m inner draws each: a whole number
+    of ``unit`` draws, set by the model's dimensions and m alone."""
+    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
+    return max(unit, _BLOCK_VALUE_BUDGET // width // unit * unit)
 
 
 def _block_plan(
     model: DecisionModel, m: int, n: int, first_block: int = 0, unit: int = 1
 ):
     """(block index, outer draws) of each block of n outer draws with m inner
-    draws each. Sizes depend only on the model's dimensions and m, and every
-    size but the last is a whole number of ``unit`` draws."""
-    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    size = max(unit, _BLOCK_VALUE_BUDGET // width // unit * unit)
+    draws each: full blocks of :func:`_block_size`, then a ragged last one.
+    Block indices count up from ``first_block``."""
+    size = _block_size(model, m, unit)
     return [
         (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
     ]
+
+
+def _blocks(
+    kernel, model: DecisionModel, m: int, n: int, stream: RandomStream, first_block: int = 0
+) -> list[tuple]:
+    """The blocks of n outer draws with m inner draws each, as the calls
+    :func:`_run_block` makes: ``kernel(model, m, size, stream.split(index))``."""
+    return [
+        (kernel, model, m, size, stream, index)
+        for index, size in _block_plan(model, m, n, first_block)
+    ]
+
+
+def _level_blocks(
+    model: DecisionModel, level: int, n: int, stream: RandomStream, first_block: int = 0
+) -> list[tuple]:
+    """The blocks of n level-l draws, the layout :func:`accumulate_level`
+    folds; the driver lists a whole pass of them with this too."""
+    if level < 1:
+        raise ValueError("the level correction is defined for levels >= 1")
+    return _blocks(_level_block, model, 1 << level, n, stream, first_block)
+
+
+def _run_block(block: tuple):
+    kernel, model, m, size, stream, index = block
+    return kernel(model, m, size, stream.split(index))
+
+
+def _map_blocks(blocks: list[tuple], pool: Executor | None = None):
+    """Results of the blocks, in order. With a pool every block is submitted
+    at once and runs on its workers; without one, each block runs on the
+    caller's thread as the results are read."""
+    return map(_run_block, blocks) if pool is None else pool.map(_run_block, blocks)
 
 
 def accumulate_level(
@@ -209,13 +226,11 @@ def accumulate_level(
     later top-up that continues from the returned index extends the same
     deterministic sequence. The blocks run on ``pool``, or on the caller's
     thread when it is None."""
-    if level < 1:
-        raise ValueError("the level correction is defined for levels >= 1")
-    for z, p in _map_blocks(_level_block, model, 1 << level, n, stream, pool, first_block):
+    blocks = _level_blocks(model, level, n, stream, first_block)
+    for z, p in _map_blocks(blocks, pool):
         acc_z.add_block(z)
         acc_p.add_block(p)
-        first_block += 1
-    return first_block
+    return first_block + len(blocks)
 
 
 def accumulate_p_level(
@@ -230,7 +245,7 @@ def accumulate_p_level(
     ``pool`` or, when it is None, on the caller's thread."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    for p in _map_blocks(_p_block, model, 1 << level, n, stream, pool):
+    for p in _map_blocks(_blocks(_p_block, model, 1 << level, n, stream), pool):
         acc_p.add_block(p)
 
 
@@ -244,11 +259,10 @@ def sample_level_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw (z, p_fine) arrays for n level-l draws; same substream layout as
     :func:`accumulate_level`."""
-    if level < 1:
-        raise ValueError("the level correction is defined for levels >= 1")
-    if n <= 0:
+    blocks = _level_blocks(model, level, n, stream, first_block)
+    if not blocks:
         return np.empty(0), np.empty(0)
-    zs, ps = zip(*_map_blocks(_level_block, model, 1 << level, n, stream, pool, first_block))
+    zs, ps = zip(*_map_blocks(blocks, pool))
     return np.concatenate(zs), np.concatenate(ps)
 
 
@@ -270,43 +284,77 @@ def evpi_mc(
 
 @contextmanager
 def _evpi_ahead(
-    model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
+    model: DecisionModel,
+    n: int | None,
+    stream: RandomStream,
+    pool: Executor | None = None,
+    epsilon: float | None = None,
 ):
     """Start the estimate of :func:`evpi_mc`; the call the ``with`` block
     gets finishes it.
 
-    With a pool, one of its workers claims the blocks in block order from
-    now on, so the EVPI runs beside whatever else the pool is given. The
-    finishing call stops the claims, maps every block not yet claimed over
-    the pool, and folds all of them in block order. Without a pool nothing
-    starts, and the finishing call draws every block on the caller's
-    thread. The fold is the same either way, so the estimate is too.
-    Leaving the ``with`` block, by an error say, stops the claims too; the
-    worker then ends after the block it holds, and no other is drawn."""
-    if n <= 0 or n % 2:
+    With n None, n is sized from ``epsilon`` by a pilot: block 0, of the
+    first block's size B. With v the pilot's variance of the pair-averaged
+    regret of its best decision, n = max(B, 2 ceil(4 v / eps^2)), so the
+    standard error comes to about eps/2. The plan is then that of n draws,
+    whose block 0 is the pilot, so the estimate is the one n given outright
+    yields.
+
+    With a pool, one of its workers draws the pilot, if any, and then claims
+    the blocks in block order from now on, so the EVPI runs beside whatever
+    else the pool is given. The finishing call stops the claims, maps every
+    block not yet claimed over the pool, and folds all of them in block
+    order. Without a pool nothing starts, and the finishing call draws every
+    block, the pilot first, on the caller's thread. The fold is the same
+    either way, so the estimate is too. Leaving the ``with`` block, by an
+    error say, stops the claims too; the worker then ends after the block it
+    holds, and no other is drawn."""
+    if n is not None and (n <= 0 or n % 2):
         raise ValueError("the antithetic EVPI needs a positive, even sample count")
-    plan = _block_plan(model, 1, n, unit=2)
+    pilot = n is None
+    plan = _block_plan(model, 1, _block_size(model, 1, unit=2) if pilot else n, unit=2)
     # Every index goes to exactly one claimant: the worker, or the finishing
-    # call. None once all are claimed.
-    indices = iter(range(len(plan)))
+    # call. A pilot, block 0, is no claim; the blocks after it open once it
+    # has sized the plan.
+    pending = iter(range(1 if pilot else 0, len(plan)))
+    stopped = False
     lock = threading.Lock()
+    sized = threading.Event()
     drawn = {}
 
     def claim():
         with lock:
-            return next(indices, None)
+            return None if stopped else next(pending, None)
 
     def run(i):
         idx, size = plan[i]
         return _regret_block(model, 1, size, stream.split(idx))
 
+    def size_plan():
+        nonlocal plan, pending
+        if pilot:
+            drawn[0] = run(0)
+            best = min(drawn[0], key=lambda acc: acc.mean)
+            sized_n = max(plan[0][1], 2 * math.ceil(4.0 * best.variance() / epsilon**2))
+            with lock:
+                plan = _block_plan(model, 1, sized_n, unit=2)
+                pending = iter(range(1, len(plan)))
+
     def claim_in_order():
+        try:
+            size_plan()
+        finally:
+            sized.set()
         for i in iter(claim, None):
             drawn[i] = run(i)
 
     claimer = None if pool is None else pool.submit(claim_in_order)
 
     def finish() -> Estimate:
+        if claimer is None:
+            size_plan()
+        else:
+            sized.wait()
         rest = list(iter(claim, None))
         drawn.update(zip(rest, map(run, rest) if pool is None else pool.map(run, rest)))
         if claimer is not None:
@@ -317,13 +365,13 @@ def _evpi_ahead(
                 acc.merge(block)
         best = min(regrets, key=lambda acc: acc.mean)
         std_error = math.sqrt(best.variance() / best.n) if best.n > 1 else math.nan
-        return Estimate(value=best.mean, std_error=std_error)
+        return Estimate(value=best.mean, std_error=std_error, n=2 * best.n)
 
     try:
         yield finish
     finally:
-        for _ in iter(claim, None):
-            pass
+        with lock:
+            stopped = True
 
 
 def nested_mc(
@@ -342,7 +390,7 @@ def nested_mc(
     if n_outer <= 0 or n_inner <= 0:
         raise ValueError("sample counts must be positive")
     acc = MomentAccumulator()
-    for p in _map_blocks(_p_block, model, int(n_inner), n_outer, stream, pool):
+    for p in _map_blocks(_blocks(_p_block, model, int(n_inner), n_outer, stream), pool):
         acc.add_block(p)
     std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
-    return Estimate(value=acc.mean, std_error=std_error)
+    return Estimate(value=acc.mean, std_error=std_error, n=n_outer)

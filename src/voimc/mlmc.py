@@ -17,12 +17,16 @@ estimates is the bias remainder tested, and a failing test appends one finer
 level with warm-up draws. Sampling inside a level fans out over block
 substreams, and each level folds its blocks in block order, so the whole run
 is reproducible bit for bit from (model, config, seed). The driver and the
-reports take their caller's pool as ``pool=``, and never open one. A pass
-draws its levels one after another on the caller's thread, and every
-level's blocks reach the pool through the one block map of
-:mod:`voimc.estimators`. The EVPI of an EVPPI report shares that pool: one
-worker draws its blocks in order beside the driver, and the blocks still
-unclaimed when the driver returns are spread over the whole pool.
+reports take their caller's pool as ``pool=``, and never open one. With a
+pool, a pass puts the blocks of every level it tops up or adds on the pool
+at once, through the one block map of :mod:`voimc.estimators`, and then
+folds each level's blocks on the caller's thread, level by level and in
+block order. Without one, each block runs on the caller's thread as it is
+folded. The EVPI of an EVPPI report shares the pool: one worker draws its
+blocks in order beside the driver, and the blocks still unclaimed when the
+driver returns are spread over the whole pool. Unless its draw count is
+given, the EVPI sizes it from eps with a pilot block, for a standard error
+of about eps/2.
 
 The reports built on the driver's arithmetic live here too: the multilevel
 cost against the modeled standard-MC cost, either from driver runs over
@@ -34,6 +38,7 @@ a model (evppi_report).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -47,7 +52,7 @@ from .diagnostics import (
     stats_from_accumulators,
 )
 from .errors import ConfigError, InsufficientDataError
-from .estimators import _evpi_ahead, accumulate_level
+from .estimators import _evpi_ahead, _level_blocks, accumulate_level
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -190,6 +195,26 @@ class _LevelState:
         self.next_block = 0
 
 
+class _PassPool:
+    """The pool a pass hands to :func:`accumulate_level`, one level at a
+    time. Its first map puts the blocks of every level of the pass on the
+    caller's pool at once. That map and each later one return the results
+    of the next ``len(blocks)`` of them, which are the asking level's own
+    blocks, because the levels ask in the order the pass lists them."""
+
+    __slots__ = ("_pool", "_blocks", "_results")
+
+    def __init__(self, pool: Executor, blocks: list[tuple]) -> None:
+        self._pool = pool
+        self._blocks = blocks
+        self._results = None
+
+    def map(self, fn, blocks):
+        if self._results is None:
+            self._results = self._pool.map(fn, self._blocks)
+        return itertools.islice(self._results, len(blocks))
+
+
 def mlmc_run(
     model: DecisionModel,
     config: MlmcConfig,
@@ -200,28 +225,41 @@ def mlmc_run(
 
     Returns a result whose ``converged`` flag is False when max_level was
     reached (or the loop safety valve tripped) before the bias target; the
-    partial diagnostics are still filled in. Each pass draws its levels in
-    turn on the caller's thread; every level's blocks run on ``pool``, or on
-    the caller's thread when it is None.
+    partial diagnostics are still filled in. Every block runs on ``pool``,
+    or on the caller's thread when it is None; with a pool, each pass puts
+    all of its blocks on it before it folds any.
     """
     states: dict[int, _LevelState] = {}
     warnings: list[str] = []
     history: list[dict] = []
 
     def grow_all(extra: dict[int, int]) -> None:
-        """Draw ``extra[level]`` more samples at each level, one level after
-        another; each level spreads its blocks over the pool."""
+        """Draw ``extra[level]`` more samples at each level. Each level folds
+        its own blocks in block order, level after level, on the caller's
+        thread; with a pool, the blocks of every level reach it first."""
+        streams = {level: stream.split(level) for level in extra}
+        for level in extra:
+            states.setdefault(level, _LevelState())
+        shared = None
+        if pool is not None:
+            shared = _PassPool(pool, [
+                block
+                for level, n in extra.items()
+                for block in _level_blocks(
+                    model, level, n, streams[level], states[level].next_block
+                )
+            ])
         for level, n in extra.items():
-            state = states.setdefault(level, _LevelState())
+            state = states[level]
             state.next_block = accumulate_level(
                 model,
                 level,
                 n,
-                stream.split(level),
+                streams[level],
                 state.acc_z,
                 state.acc_p,
                 first_block=state.next_block,
-                pool=pool,
+                pool=shared,
             )
 
     def pooled_stats() -> list[LevelStats]:
@@ -409,7 +447,8 @@ class EvppiReport:
 
     ``evppi`` is computed as ``evpi - difference``, so that identity holds
     exactly in the report. ``evpi`` is plain MC over ``n_evpi`` joint draws
-    in antithetic pairs, and ``evpi_std_error`` is the spread of the
+    in antithetic pairs, a count given or sized from ``epsilon`` (see
+    :func:`evppi_report`), and ``evpi_std_error`` is the spread of the
     pair-averaged regret of the best decision over the ``n_evpi / 2``
     pairs. RMS errors for the multilevel quantities combine the estimator
     variance with the bias remainder estimate.
@@ -430,31 +469,38 @@ class EvppiReport:
 def evppi_report(
     model: DecisionModel,
     epsilon: float,
-    n_evpi: int,
+    n_evpi: int | None,
     stream: RandomStream,
     pool: Executor | None = None,
 ) -> EvppiReport:
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
+    The EVPI is drawn in antithetic pairs (see
+    :func:`~voimc.estimators.evpi_mc`), so a given ``n_evpi`` is even and
+    at least 4. With ``n_evpi`` None its block 0 is a pilot that sizes it:
+    with B the pilot's draws and v the per-pair variance of the
+    pair-averaged regret of the pilot's best decision,
+    n_evpi = max(B, 2 ceil(4 v / eps^2)), for a standard error of about
+    eps/2. The pilot stays in the estimate, so the report equals the one
+    given that n_evpi outright.
+
     With a pool both share it, and no worker idles at the end: while the
-    driver runs, one worker draws the EVPI's blocks in block order, and
-    once the driver returns every EVPI block still unclaimed is spread over
-    the whole pool. The EVPI's blocks run only on the pool's workers. If
-    the driver raises, the EVPI claims no further block and the error
-    propagates. The EVPI is drawn in antithetic pairs (see
-    :func:`~voimc.estimators.evpi_mc`), so ``n_evpi`` is even and at
-    least 4.
+    driver runs, one worker draws the EVPI's pilot and then its blocks in
+    block order, and once the driver returns every EVPI block still
+    unclaimed is spread over the whole pool. The EVPI's blocks run only on
+    the pool's workers. If the driver raises, the EVPI claims no further
+    block and the error propagates.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """
-    if n_evpi < 4 or n_evpi % 2:
+    if n_evpi is not None and (n_evpi < 4 or n_evpi % 2):
         raise ConfigError(
             "the EVPI estimate needs an even number of draws, at least 4: "
             "two antithetic pairs"
         )
     config = MlmcConfig(epsilon=float(epsilon))
-    with _evpi_ahead(model, int(n_evpi), stream.split(0), pool) as finish_evpi:
+    with _evpi_ahead(model, n_evpi, stream.split(0), pool, config.epsilon) as finish_evpi:
         result = mlmc_run(model, config, stream.split(1), pool=pool)
         evpi = finish_evpi()
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
@@ -468,7 +514,7 @@ def evppi_report(
         evppi=evpi.value - result.estimate,
         evppi_rms_error=evppi_rms,
         epsilon=float(epsilon),
-        n_evpi=int(n_evpi),
+        n_evpi=evpi.n,
         converged=result.converged,
         mlmc_result=result,
     )

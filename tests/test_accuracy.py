@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from voimc import RandomStream, make_model, synthetic1
-from voimc.estimators import evpi_mc
+from voimc.estimators import _evpi_ahead, evpi_mc
 from voimc.mlmc import MlmcConfig, mlmc_run
 
 # Chance that a driver which keeps its promise fails one check.
@@ -82,3 +82,28 @@ def test_evpi_error_matches_its_spread_over_seeds():
     spread = np.std([e.value for e in estimates], ddof=1)
     reported = np.mean([e.std_error for e in estimates])
     assert 0.85 <= spread / reported <= 1.18, (spread, reported)
+
+
+def test_sized_evpi_mse_within_its_share():
+    # Without n_evpi the report sizes the EVPI from eps for a standard error
+    # of eps/2. At eps 10 that is past the pilot block (about 132k draws), so
+    # the sizing, not the pilot's floor, sets the error. Same reference
+    # margin as the bkoc gap check.
+    epsilon, seeds = 10.0, 40
+    model = make_model("bkoc", outer=(5, 14))
+    ref = REFERENCES["bkoc_5_14"]["evpi"]
+    errors, counts = [], []
+    for k in range(seeds):
+        # the EVPI's substream and routine in evppi_report, at one thread
+        with _evpi_ahead(model, None, RandomStream(FIRST_SEED + k).split(0), None, epsilon) as f:
+            estimate = f()
+        errors.append(estimate.value - ref["value"])
+        counts.append(estimate.n)
+    assert min(counts) > 52_428
+    mse = math.fsum(e * e for e in errors) / seeds
+    share = epsilon / 2.0
+    limit = (math.sqrt(allowance(seeds)) * share + 4.0 * ref["std_error"]) ** 2
+    assert mse <= limit, (
+        f"MSE/(eps/2)^2 {mse / share**2:.3f} > {limit / share**2:.3f} over {seeds} seeds "
+        f"(mean error {math.fsum(errors) / seeds / share:+.3f} eps/2)"
+    )

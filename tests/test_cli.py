@@ -184,11 +184,15 @@ SCHEDULED = [
     # Four EVPI blocks: at 2 and 3 threads the blocks left when the driver
     # returns are handed over to the whole pool.
     ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "200000"],
+    # No --n: a pilot block sizes the EVPI from eps (three blocks here).
+    ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "10"],
 ]
 
 
 @pytest.mark.parametrize(
-    "argv", SCHEDULED, ids=["evppi-bkoc", "run-synthetic1", "evppi-bkoc-evpi-handoff"]
+    "argv",
+    SCHEDULED,
+    ids=["evppi-bkoc", "run-synthetic1", "evppi-bkoc-evpi-handoff", "evppi-bkoc-sized-evpi"],
 )
 def test_output_is_byte_identical_at_1_2_and_3_threads(tmp_path, argv):
     blobs = []
@@ -336,6 +340,19 @@ def test_evppi_json(tmp_path):
     assert doc["total_cost"] > 0
 
 
+def test_evppi_sized_evpi_is_the_run_given_its_count(tmp_path):
+    # Without --n a pilot block sizes the EVPI; it stays in the estimate, so
+    # the output is the one --n <that count> writes.
+    argv = ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "10", "--seed", "2"]
+    code, sized = run_cli(tmp_path / "sized", *argv)
+    assert code == 0
+    n_evpi = json.loads(sized.read_text())["n_evpi"]
+    assert n_evpi > 52_428  # past the pilot block
+    code, given = run_cli(tmp_path / "given", *argv, "--n", str(n_evpi))
+    assert code == 0
+    assert given.read_bytes() == sized.read_bytes()
+
+
 def test_evppi_outer_partition(tmp_path):
     code, out = run_cli(
         tmp_path, "evppi", "--model", "bkoc", "--outer", "7,16",
@@ -466,6 +483,14 @@ PINNED_OUTPUTS = [
         "900cc44c2ea0effa09d32032d79864361da632840717235bf2ab0e1e2c53e3d2",
         "evppi bkoc evpi=1433.51 difference=566.405 evppi=867.109",
         id="evppi-json",
+    ),
+    # No --n: at eps 20 the pilot block alone, 52,428 draws, is enough.
+    pytest.param(
+        ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20",
+         "--seed", "1", "--threads", "2"],
+        "70e3a012f440399d7b9be3fed90e04570a41a0af74d4ea660807298253f5535e",
+        "evppi bkoc evpi=1445.48 difference=566.405 evppi=879.079",
+        id="evppi-sized-json",
     ),
 ]
 

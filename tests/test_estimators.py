@@ -1,6 +1,7 @@
 """Estimator kernels: exact identities, stream layout, and reference values."""
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -359,13 +360,20 @@ def test_evpi_draws_reflected_pairs(monkeypatch, pairs_per_block):
 
 def test_evpi_handoff_draws_every_block_once(monkeypatch):
     # Tiny blocks, more workers than cores and frequent thread switches, so
-    # the worker's claims and the finishing call's claims interleave.
+    # the worker's claims and the finishing call's claims interleave. With n
+    # None the worker draws a pilot block first, which sizes n from eps
+    # (about 1,600 draws here), and the finishing call waits for it.
     monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 64)
-    model, n = synthetic1(), 2000
-    blocks = -(-n // 16)  # 16 draws per block: the budget over 4 values a draw
-    alone = evpi_mc(model, n, RandomStream(41))
+    model, epsilon = synthetic1(), 0.03
+    alone = {}
+    for n in (2000, None):
+        with estimators._evpi_ahead(model, n, RandomStream(41), epsilon=epsilon) as finish:
+            alone[n] = finish()
+    assert alone[2000] == evpi_mc(model, 2000, RandomStream(41))
+    assert alone[None].n > 1000
     drawn = []
     regret_block = estimators._regret_block
+    blocks = 0
 
     def recorded(model, m, size, stream):
         drawn.append(stream.path[-1])
@@ -377,14 +385,17 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        # None: finish only once the worker has claimed the last block
-        for delay in (0.0, 1e-4, 1e-3, None):
+        # delay None: finish only once the worker has claimed the last block
+        for n, delay in itertools.product((2000, None), (0.0, 1e-4, 1e-3, None)):
+            blocks = -(-alone[n].n // 16)  # 16 draws a block: the budget over 4 values a draw
             drawn.clear()
             results = []
 
             def draw():
                 with worker_pool(4) as pool:
-                    with estimators._evpi_ahead(model, n, RandomStream(41), pool) as finish:
+                    with estimators._evpi_ahead(
+                        model, n, RandomStream(41), pool, epsilon
+                    ) as finish:
                         if delay is None:
                             while blocks - 1 not in drawn:
                                 time.sleep(1e-4)
@@ -396,8 +407,10 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
             thread.start()
             thread.join(timeout=60)
             assert not thread.is_alive()
-            assert sorted(drawn) == list(range(blocks)), delay
-            assert results == [alone]
+            assert sorted(drawn) == list(range(blocks)), (n, delay)
+            assert results == [alone[n]]
+            if n is None:
+                assert drawn[0] == 0  # the pilot, before any claim
     finally:
         sys.setswitchinterval(interval)
 

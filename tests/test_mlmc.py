@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -242,24 +243,71 @@ def test_driver_history_structure():
 
 
 def test_driver_is_reproducible_across_threads(monkeypatch):
-    cfg = MlmcConfig(epsilon=0.02, warmup_samples=300)
+    cfg = MlmcConfig(epsilon=0.01, warmup_samples=300)
     a = mlmc_run(synthetic1(), cfg, RandomStream(9))
-    calls = []
+    events = []
+    level_block = estimators._level_block
+    add_block = MomentAccumulator.add_block
 
-    def recorded(model, level, n, *args, pool=None, **kwargs):
-        calls.append((threading.get_ident(), level, n, pool))
-        return accumulate_level(model, level, n, *args, pool=pool, **kwargs)
+    def drawn(model, m, size, stream):
+        events.append(("draw", threading.get_ident(), m * size))
+        return level_block(model, m, size, stream)
 
-    monkeypatch.setattr("voimc.mlmc.accumulate_level", recorded)
-    with worker_pool(4) as pool:
+    def folded(self, values):
+        events.append(("fold",))
+        add_block(self, values)
+
+    class RecordingPool(ThreadPoolExecutor):
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            # (inner draws, outer draws) of each block given to this pool
+            events.append(("map", [(block[2], block[3]) for block in blocks]))
+            return super().map(fn, blocks)
+
+    monkeypatch.setattr(estimators, "_level_block", drawn)
+    monkeypatch.setattr(MomentAccumulator, "add_block", folded)
+    with RecordingPool(4) as pool:
         b = mlmc_run(synthetic1(), cfg, RandomStream(9), pool=pool)
     assert a == b
-    # every level of every pass is drawn from the caller's thread, and its
-    # blocks reach the run's pool
-    assert calls
-    assert all(thread == threading.get_ident() for thread, _, _, _ in calls)
-    assert all(used is pool for _, _, _, used in calls)
-    assert sum(n << level for _, level, n, _ in calls) == b.total_cost
+    # every block reaches the run's pool and runs on one of its workers, and
+    # the drawn inner samples add up to the run's cost
+    maps = [blocks for kind, *rest in events if kind == "map" for blocks in rest]
+    draws = [event for event in events if event[0] == "draw"]
+    assert sum(m * size for blocks in maps for m, size in blocks) == b.total_cost
+    assert sum(cost for _, _, cost in draws) == b.total_cost
+    assert all(thread != threading.get_ident() for _, thread, _ in draws)
+    # the caller's record is deterministic: each pass gives the pool all of
+    # its blocks in one map before it folds any, then folds each block's z
+    # and p. The warm-up pass holds levels 1..3, and top-up passes hold
+    # several levels too.
+    calls = [event for event in events if event[0] != "draw"]
+    assert calls[0] == ("map", [(m, 300) for m in (2, 4, 8)])
+    passes = [i for i, event in enumerate(calls) if event[0] == "map"]
+    for start, stop in zip(passes, [*passes[1:], len(calls)]):
+        blocks = calls[start][1]
+        assert calls[start + 1 : stop] == [("fold",)] * (2 * len(blocks))
+    assert any(len({m for m, _ in blocks}) >= 2 for blocks in maps[1:])
+
+
+def test_sized_evpi_count_follows_the_pilot():
+    # Without n_evpi, block 0 of the EVPI is a pilot of the first block's
+    # size B, and n_evpi = max(B, 2 ceil(4 v / eps^2)) with v the variance of
+    # the pilot's pair-averaged regret of its best decision. The pilot stays
+    # in the estimate: the report is the one given that count outright.
+    model = make_model("bkoc", outer=(5, 14))
+    first = estimators._block_size(model, 1, unit=2)
+    pilot = estimators._regret_block(model, 1, first, RandomStream(1).split(0).split(0))
+    v = min(pilot, key=lambda acc: acc.mean).variance()
+    counts = {}
+    for epsilon in (10.0, 20.0):
+        sized = evppi_report(model, epsilon, None, RandomStream(1))
+        assert sized.n_evpi == max(first, 2 * math.ceil(4.0 * v / epsilon**2))
+        assert sized.n_evpi % 2 == 0 and sized.n_evpi >= first
+        assert repr(sized) == repr(evppi_report(model, epsilon, sized.n_evpi, RandomStream(1)))
+        assert sized.evpi_std_error <= 0.55 * epsilon  # about eps/2, or less
+        counts[epsilon] = sized.n_evpi
+    # eps 10 draws past the pilot; at eps 20 the pilot alone is enough
+    assert counts == {10.0: 131_754, 20.0: first} and first == 52_428
 
 
 def test_evpi_blocks_left_by_the_driver_spread_over_the_pool(monkeypatch):

@@ -16,7 +16,10 @@ that table to stderr. It then runs the adaptive driver of each checkout
 over ``--seeds`` seeds at the fixed targets in COST_RUNS and records the
 median, quartiles and range of ``total_cost``, and ``evpi_mc`` over the
 seeds of EVPI_RUN for the spread of its estimates against its median
-reported error. Both checkouts run on the
+reported error. Last, it runs each checkout once with ``--trace 1`` on
+TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's and the
+EVPI's times read from the spans of the last traced call (see
+``evpi_timeline``). Both checkouts run on the
 same machine, one process at a time; the machine record of every run is in
 its report line. Only the standard library is used; each checkout needs
 its own ``src/voimc``.
@@ -71,6 +74,10 @@ print(json.dumps([
 """
 
 
+# The traced record: one ``--trace 1`` run per checkout of this workload.
+TRACE_WORKLOAD = "bkoc-evppi"
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -122,6 +129,41 @@ def evpi_over_seeds(tree: Path) -> dict:
         "spread": spread,
         "median_reported_error": median_error,
         "spread_over_reported": spread / median_error,
+    }
+
+
+def evpi_timeline(spans: list[dict]) -> dict:
+    """Seconds of one traced EVPPI call. The EVPI's claiming worker runs
+    outside any traced block, so its calls are the root spans of the worker
+    threads; it holds its worker from the first of them to the last. The
+    tail is the EVPI's time after the driver returns."""
+    main = next(s["thread"] for s in spans if s["name"] == "cli.main")
+    claimer = [s for s in spans if s["parent"] is None and s["thread"] != main]
+    driver = next(s for s in spans if s["name"] == "mlmc.mlmc_run")
+    report = next(s for s in spans if s["name"] == "mlmc.evppi_report")
+    return {
+        "driver_s": driver["end"] - driver["start"],
+        "evpi_claimer_holds_worker_s": (
+            max(s["end"] for s in claimer) - min(s["start"] for s in claimer)
+            if claimer else 0.0
+        ),
+        "evpi_tail_after_driver_s": report["end"] - driver["end"],
+    }
+
+
+def trace_once(tree: Path, seconds: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", TRACE_WORKLOAD, "--seed", "1",
+         "--seconds", str(seconds), "--trace", "1"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    report, metrics = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
+    spans = json.loads((tree / report["spans_file"]).read_text())
+    return {
+        "workload": TRACE_WORKLOAD,
+        "failed": metrics["failed"],
+        "metrics": {name: m["value"] for name, m in metrics["metrics"].items()},
+        "last_traced_call": evpi_timeline(spans),
     }
 
 
@@ -219,6 +261,7 @@ def main(argv=None) -> int:
         "evpi_over_seeds": {
             side: evpi_over_seeds(tree) for side, tree in trees.items()
         },
+        "trace": {side: trace_once(tree, args.seconds) for side, tree in trees.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -43,7 +43,9 @@ that draw j + k/2 of a k-draw block is draw j with every normal negated.
 A block reduces, per decision d, to the moments of the pair-averaged regret
 max_d' f_d' - f_d. The estimate is the least mean regret, and its standard
 error that regret's spread over the pairs. The number of draws is given,
-or sized from a target by a pilot block (see _evpi_ahead).
+or sized from a target by a pilot block. Its blocks are built and run like
+every other; beside a driver, a task on the pool draws a prefix of them in
+order and the rest go through the block map (see _evpi_ahead).
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
@@ -55,6 +57,7 @@ command shares it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -166,26 +169,17 @@ def _block_size(model: DecisionModel, m: int, unit: int = 1) -> int:
     return max(unit, _BLOCK_VALUE_BUDGET // width // unit * unit)
 
 
-def _block_plan(
-    model: DecisionModel, m: int, n: int, first_block: int = 0, unit: int = 1
-):
-    """(block index, outer draws) of each block of n outer draws with m inner
-    draws each: full blocks of :func:`_block_size`, then a ragged last one.
-    Block indices count up from ``first_block``."""
-    size = _block_size(model, m, unit)
-    return [
-        (first_block + i, min(size, n - start)) for i, start in enumerate(range(0, n, size))
-    ]
-
-
 def _blocks(
-    kernel, model: DecisionModel, m: int, n: int, stream: RandomStream, first_block: int = 0
+    kernel, model: DecisionModel, m: int, n: int, stream: RandomStream, first_block=0, unit=1
 ) -> list[tuple]:
     """The blocks of n outer draws with m inner draws each, as the calls
-    :func:`_run_block` makes: ``kernel(model, m, size, stream.split(index))``."""
+    :func:`_run_block` makes: ``kernel(model, m, size, stream.split(index))``.
+    Full blocks of :func:`_block_size`, then a ragged last one; block
+    indices count up from ``first_block``."""
+    size = _block_size(model, m, unit)
     return [
-        (kernel, model, m, size, stream, index)
-        for index, size in _block_plan(model, m, n, first_block)
+        (kernel, model, m, min(size, n - start), stream, first_block + i)
+        for i, start in enumerate(range(0, n, size))
     ]
 
 
@@ -266,6 +260,24 @@ def sample_level_batch(
     return np.concatenate(zs), np.concatenate(ps)
 
 
+def _evpi_blocks(model: DecisionModel, n: int, stream: RandomStream) -> list[tuple]:
+    """The blocks of n EVPI draws (n even), each of whole antithetic pairs."""
+    if n <= 0 or n % 2:
+        raise ValueError("the antithetic EVPI needs a positive, even sample count")
+    return _blocks(_regret_block, model, 1, n, stream, unit=2)
+
+
+def _fold_regrets(model: DecisionModel, results) -> Estimate:
+    """The EVPI of :func:`_regret_block` results, folded in block order."""
+    regrets = [MomentAccumulator() for _ in range(model.decision_count)]
+    for block in results:
+        for acc, part in zip(regrets, block):
+            acc.merge(part)
+    best = min(regrets, key=lambda acc: acc.mean)
+    std_error = math.sqrt(best.variance() / best.n) if best.n > 1 else math.nan
+    return Estimate(value=best.mean, std_error=std_error, n=2 * best.n)
+
+
 def evpi_mc(
     model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
 ) -> Estimate:
@@ -276,10 +288,10 @@ def evpi_mc(
     average, mean(max_d f_d - f_d_hat), which equals
     mean(max_d f_d) - max_d mean(f_d). Its standard error is that regret's
     spread over the pairs, sqrt(var / (n/2)), with each pair's regrets
-    averaged first.
+    averaged first. The blocks run on ``pool``, or on the caller's thread
+    when it is None, and are folded in block order.
     """
-    with _evpi_ahead(model, n, stream, pool) as finish:
-        return finish()
+    return _fold_regrets(model, _map_blocks(_evpi_blocks(model, n, stream), pool))
 
 
 @contextmanager
@@ -296,82 +308,50 @@ def _evpi_ahead(
     With n None, n is sized from ``epsilon`` by a pilot: block 0, of the
     first block's size B. With v the pilot's variance of the pair-averaged
     regret of its best decision, n = max(B, 2 ceil(4 v / eps^2)), so the
-    standard error comes to about eps/2. The plan is then that of n draws,
-    whose block 0 is the pilot, so the estimate is the one n given outright
-    yields.
+    standard error comes to about eps/2. The blocks are then those of n
+    draws, whose block 0 is the pilot, so the estimate is the one n given
+    outright yields.
 
-    With a pool, one of its workers draws the pilot, if any, and then claims
-    the blocks in block order from now on, so the EVPI runs beside whatever
-    else the pool is given. The finishing call stops the claims, maps every
-    block not yet claimed over the pool, and folds all of them in block
-    order. Without a pool nothing starts, and the finishing call draws every
-    block, the pilot first, on the caller's thread. The fold is the same
-    either way, so the estimate is too. Leaving the ``with`` block, by an
-    error say, stops the claims too; the worker then ends after the block it
-    holds, and no other is drawn."""
-    if n is not None and (n <= 0 or n % 2):
-        raise ValueError("the antithetic EVPI needs a positive, even sample count")
-    pilot = n is None
-    plan = _block_plan(model, 1, _block_size(model, 1, unit=2) if pilot else n, unit=2)
-    # Every index goes to exactly one claimant: the worker, or the finishing
-    # call. A pilot, block 0, is no claim; the blocks after it open once it
-    # has sized the plan.
-    pending = iter(range(1 if pilot else 0, len(plan)))
-    stopped = False
-    lock = threading.Lock()
-    sized = threading.Event()
-    drawn = {}
+    The blocks split into a prefix and a suffix. With a pool, one task on
+    it draws the pilot, if any, and then the blocks in block order, so the
+    EVPI runs beside whatever else the pool is given; what it has drawn is
+    always a prefix. The finishing call stops it, takes its prefix (waiting
+    at most for the block it holds), maps the suffix over the pool through
+    the one block map, and folds prefix and suffix in block order. The
+    EVPI's blocks never run on the caller's thread then. Without a pool
+    nothing starts: the finishing call draws the pilot, if any, and then
+    the suffix on the caller's thread. The fold is the same either way, so
+    the estimate is too. Leaving the ``with`` block, by an error say, stops
+    the task too; it ends after the block it holds, and no other is drawn."""
+    planned = None if n is None else _evpi_blocks(model, n, stream)
+    stop = threading.Event()
 
-    def claim():
-        with lock:
-            return None if stopped else next(pending, None)
+    def draw_prefix():
+        if planned is None:
+            first = _block_size(model, 1, unit=2)
+            drawn = [_run_block(_evpi_blocks(model, first, stream)[0])]
+            v = min(drawn[0], key=lambda acc: acc.mean).variance()
+            blocks = _evpi_blocks(model, max(first, 2 * math.ceil(4.0 * v / epsilon**2)), stream)
+        else:
+            blocks, drawn = planned, []
+        for block in blocks[len(drawn) :]:
+            if stop.is_set():
+                break
+            drawn.append(_run_block(block))
+        return blocks, drawn
 
-    def run(i):
-        idx, size = plan[i]
-        return _regret_block(model, 1, size, stream.split(idx))
-
-    def size_plan():
-        nonlocal plan, pending
-        if pilot:
-            drawn[0] = run(0)
-            best = min(drawn[0], key=lambda acc: acc.mean)
-            sized_n = max(plan[0][1], 2 * math.ceil(4.0 * best.variance() / epsilon**2))
-            with lock:
-                plan = _block_plan(model, 1, sized_n, unit=2)
-                pending = iter(range(1, len(plan)))
-
-    def claim_in_order():
-        try:
-            size_plan()
-        finally:
-            sized.set()
-        for i in iter(claim, None):
-            drawn[i] = run(i)
-
-    claimer = None if pool is None else pool.submit(claim_in_order)
+    task = None if pool is None else pool.submit(draw_prefix)
 
     def finish() -> Estimate:
-        if claimer is None:
-            size_plan()
-        else:
-            sized.wait()
-        rest = list(iter(claim, None))
-        drawn.update(zip(rest, map(run, rest) if pool is None else pool.map(run, rest)))
-        if claimer is not None:
-            claimer.result()
-        regrets = [MomentAccumulator() for _ in range(model.decision_count)]
-        for i in range(len(plan)):
-            for acc, block in zip(regrets, drawn[i]):
-                acc.merge(block)
-        best = min(regrets, key=lambda acc: acc.mean)
-        std_error = math.sqrt(best.variance() / best.n) if best.n > 1 else math.nan
-        return Estimate(value=best.mean, std_error=std_error, n=2 * best.n)
+        stop.set()
+        blocks, drawn = draw_prefix() if task is None else task.result()
+        suffix = _map_blocks(blocks[len(drawn) :], pool)
+        return _fold_regrets(model, itertools.chain(drawn, suffix))
 
     try:
         yield finish
     finally:
-        with lock:
-            stopped = True
+        stop.set()
 
 
 def nested_mc(

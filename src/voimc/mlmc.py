@@ -22,11 +22,11 @@ pool, a pass puts the blocks of every level it tops up or adds on the pool
 at once, through the one block map of :mod:`voimc.estimators`, and then
 folds each level's blocks on the caller's thread, level by level and in
 block order. Without one, each block runs on the caller's thread as it is
-folded. The EVPI of an EVPPI report shares the pool: one worker draws its
-blocks in order beside the driver, and the blocks still unclaimed when the
-driver returns are spread over the whole pool. Unless its draw count is
-given, the EVPI sizes it from eps with a pilot block, for a standard error
-of about eps/2.
+folded. The EVPI of an EVPPI report shares the pool: one task draws a
+prefix of its blocks in order beside the driver, and once the driver
+returns, the suffix left is spread over the whole pool through the same
+block map. Unless its draw count is given, the EVPI sizes it from eps with
+a pilot block, for a standard error of about eps/2.
 
 The reports built on the driver's arithmetic live here too: the multilevel
 cost against the modeled standard-MC cost, either from driver runs over
@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,6 +91,10 @@ class MlmcConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError("epsilon must be a positive finite number")
+        # The allocation and the sized EVPI divide by eps^2, which must not
+        # underflow to a subnormal or to 0.
+        if self.epsilon * self.epsilon < sys.float_info.min:
+            raise ConfigError(f"epsilon {self.epsilon:g} is too small: its square underflows")
         if self.warmup_samples < 100:
             raise ConfigError("warmup_samples must be at least 100")
         if self.max_level < _INITIAL_LEVELS:
@@ -132,7 +137,8 @@ def optimal_allocation(
     N_l = ceil(2 eps^-2 sqrt(V_l / C_l) sum_k sqrt(V_k C_k)), the classic
     cost-weighted split. Zero-variance levels get zero new samples. When
     every level has zero variance the formula degenerates; the fallback is
-    ``min_allocation`` per level, flagged in the second return value.
+    ``min_allocation`` per level, flagged in the second return value. A
+    target too small for a finite count raises :class:`ConfigError`.
     """
     if not stats:
         raise ValueError("allocation needs at least one level")
@@ -147,7 +153,10 @@ def optimal_allocation(
     if all(v == 0.0 for v in variances):
         return [int(min_allocation)] * len(stats), True
     root_vc = math.fsum(math.sqrt(v * c) for v, c in zip(variances, costs))
-    scale = 2.0 / (epsilon * epsilon) * root_vc
+    eps2 = epsilon * epsilon
+    scale = 2.0 / eps2 * root_vc if eps2 > 0.0 else math.inf
+    if not math.isfinite(scale):
+        raise ConfigError(f"epsilon {epsilon:g} is too small: the allocation is not finite")
     counts = [int(math.ceil(scale * math.sqrt(v / c))) for v, c in zip(variances, costs)]
     return counts, False
 
@@ -379,13 +388,12 @@ def cost_comparison(
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ConfigError("need at least one accuracy target")
-    if any(not math.isfinite(e) or e <= 0.0 for e in eps):
-        raise ConfigError("accuracy targets must be positive")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("accuracy targets must be strictly descending")
+    # every target is checked, as MlmcConfig checks it, before the first run
+    configs = [MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP) for epsilon in eps]
     rows = []
-    for k, epsilon in enumerate(eps):
-        config = MlmcConfig(epsilon=epsilon, warmup_samples=COMPARISON_WARMUP)
+    for k, (epsilon, config) in enumerate(zip(eps, configs)):
         result = mlmc_run(model, config, stream.split(k), pool=pool)
         _, std_cost = standard_cost(result.level_stats, result.fitted_alpha, epsilon)
         rows.append(
@@ -448,9 +456,9 @@ class EvppiReport:
     ``evppi`` is computed as ``evpi - difference``, so that identity holds
     exactly in the report. ``evpi`` is plain MC over ``n_evpi`` joint draws
     in antithetic pairs, a count given or sized from ``epsilon`` (see
-    :func:`evppi_report`), and ``evpi_std_error`` is the spread of the
-    pair-averaged regret of the best decision over the ``n_evpi / 2``
-    pairs. RMS errors for the multilevel quantities combine the estimator
+    :func:`evppi_report`), folded in block order whichever thread drew each
+    block, and ``evpi_std_error`` is the spread of the pair-averaged regret
+    of the best decision over the ``n_evpi / 2`` pairs. RMS errors for the multilevel quantities combine the estimator
     variance with the bias remainder estimate.
     """
 
@@ -486,11 +494,12 @@ def evppi_report(
     given that n_evpi outright.
 
     With a pool both share it, and no worker idles at the end: while the
-    driver runs, one worker draws the EVPI's pilot and then its blocks in
-    block order, and once the driver returns every EVPI block still
-    unclaimed is spread over the whole pool. The EVPI's blocks run only on
-    the pool's workers. If the driver raises, the EVPI claims no further
-    block and the error propagates.
+    driver runs, one task draws the EVPI's pilot and then a prefix of its
+    blocks in block order; once the driver returns, the task stops after
+    the block it holds, and the suffix is spread over the whole pool. The
+    EVPI's blocks run only on the pool's workers. If the driver raises, the
+    EVPI draws no further block and the error propagates; so does an error
+    in an EVPI block, and no report is returned.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """

@@ -60,6 +60,15 @@ def test_config_errors_exit_3(tmp_path, capsys):
         # the driver warms up levels 1..3
         ["run", "--model", "synthetic1", "--epsilon", "0.1", "--max-level", "2"],
     ]
+    # targets whose square underflows: refused before any sampling, even as
+    # the last of several compare targets
+    for tiny in ("1e-300", "1e-160"):
+        cases += [
+            ["run", "--model", "synthetic1", "--epsilon", tiny],
+            ["compare", "--model", "synthetic1", "--epsilon", "0.1", "--epsilon", tiny],
+            ["evppi", "--model", "synthetic1", "--epsilon", tiny],
+            ["evppi", "--model", "synthetic1", "--epsilon", tiny, "--n", "20000"],
+        ]
     # config files whose indices are not integers or whose numbers are not
     # numbers: none may be truncated, split into digits, parsed or read as
     # a boolean
@@ -79,9 +88,10 @@ def test_config_errors_exit_3(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         cases.append(["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"])
     for argv in cases:
-        code, _ = run_cli(tmp_path, *argv)
+        code, out = run_cli(tmp_path, *argv)
         captured = capsys.readouterr()
         assert code == 3, argv
+        assert not out.exists(), argv
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "config"
         assert err["message"]

@@ -358,11 +358,36 @@ def test_evpi_draws_reflected_pairs(monkeypatch, pairs_per_block):
     assert est.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+class MarkingPool:
+    """A pool whose submitted tasks set ``in_task.active`` on their thread
+    while they run, so a block drawn there can be told from one its ``map``
+    runs."""
+
+    def __init__(self, pool, in_task: threading.local):
+        self.pool = pool
+        self.in_task = in_task
+
+    def submit(self, fn, *args):
+        def marked():
+            self.in_task.active = True
+            try:
+                return fn(*args)
+            finally:
+                self.in_task.active = False
+
+        return self.pool.submit(marked)
+
+    def map(self, fn, *iterables):
+        return self.pool.map(fn, *iterables)
+
+
 def test_evpi_handoff_draws_every_block_once(monkeypatch):
     # Tiny blocks, more workers than cores and frequent thread switches, so
-    # the worker's claims and the finishing call's claims interleave. With n
-    # None the worker draws a pilot block first, which sizes n from eps
-    # (about 1,600 draws here), and the finishing call waits for it.
+    # the finishing call can stop the worker at any block. With n None the
+    # worker draws a pilot block first, which sizes n from eps (about 1,600
+    # draws here), and the finishing call waits for it. Whenever it stops,
+    # the worker has drawn a prefix in block order, and the finishing call's
+    # map draws the rest, each block once and never on the caller's thread.
     monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 64)
     model, epsilon = synthetic1(), 0.03
     alone = {}
@@ -371,12 +396,15 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
             alone[n] = finish()
     assert alone[2000] == evpi_mc(model, 2000, RandomStream(41))
     assert alone[None].n > 1000
-    drawn = []
+    drawn, by_task, by_map, threads = [], [], [], set()
     regret_block = estimators._regret_block
     blocks = 0
+    in_task = threading.local()
 
     def recorded(model, m, size, stream):
         drawn.append(stream.path[-1])
+        (by_task if getattr(in_task, "active", False) else by_map).append(stream.path[-1])
+        threads.add(threading.get_ident())
         if stream.path[-1] == blocks - 1:
             time.sleep(0.05)  # still running when the finishing call folds
         return regret_block(model, m, size, stream)
@@ -388,13 +416,14 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
         # delay None: finish only once the worker has claimed the last block
         for n, delay in itertools.product((2000, None), (0.0, 1e-4, 1e-3, None)):
             blocks = -(-alone[n].n // 16)  # 16 draws a block: the budget over 4 values a draw
-            drawn.clear()
+            for record in (drawn, by_task, by_map, threads):
+                record.clear()
             results = []
 
             def draw():
                 with worker_pool(4) as pool:
                     with estimators._evpi_ahead(
-                        model, n, RandomStream(41), pool, epsilon
+                        model, n, RandomStream(41), MarkingPool(pool, in_task), epsilon
                     ) as finish:
                         if delay is None:
                             while blocks - 1 not in drawn:
@@ -411,6 +440,10 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
             assert results == [alone[n]]
             if n is None:
                 assert drawn[0] == 0  # the pilot, before any claim
+            k = len(by_task)
+            assert by_task == list(range(k)), (n, delay)
+            assert sorted(by_map) == list(range(k, blocks)), (n, delay)
+            assert thread.ident not in threads
     finally:
         sys.setswitchinterval(interval)
 

@@ -51,6 +51,12 @@ def test_config_validation():
         MlmcConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         MlmcConfig(epsilon=math.nan)
+    # eps^2 must stay a normal float: at 1e-160 it is subnormal, and at
+    # 1e-300 it underflows to 0
+    for tiny in (1e-160, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match="too small"):
+            MlmcConfig(epsilon=tiny)
+    MlmcConfig(epsilon=1.5e-154)  # its square, 2.25e-308, is still normal
     with pytest.raises(ConfigError):
         MlmcConfig(epsilon=0.1, warmup_samples=99)
     # the driver warms up levels 1..3, so it may not stop short of level 3
@@ -99,6 +105,11 @@ def test_allocation_degenerate_and_invalid():
         optimal_allocation([], 0.1, min_allocation=10_000)
     with pytest.raises(ValueError):
         optimal_allocation([ls(1)], 0.0, min_allocation=10_000)
+    # a target whose counts are not finite, as eps^2 underflows to 0 or the
+    # scale 2 / eps^2 overflows, is a configuration error
+    for tiny in (1e-300, 1e-160):
+        with pytest.raises(ConfigError, match="not finite"):
+            optimal_allocation([ls(1)], tiny, min_allocation=10_000)
 
 
 def test_zero_variance_level_gets_no_extra_samples():
@@ -353,6 +364,28 @@ def test_driver_error_stops_the_evpi_claims(monkeypatch):
             evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
     assert 1 <= len(drawn) <= 10
     assert drawn == list(range(len(drawn)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("failing", [0, 3], ids=["pilot", "later-block"])
+def test_evpi_block_error_propagates(monkeypatch, threads, failing):
+    # n_evpi None makes block 0 the pilot; 10^6 synthetic1 draws are 4 blocks,
+    # of which block 3 is the last. Either error ends the report.
+    model = synthetic1()
+    n_evpi = None if failing == 0 else 10**6
+    regret_block = estimators._regret_block
+
+    def broken(model, m, size, stream):
+        if stream.path[-1] == failing:
+            raise RuntimeError("EVPI block failed")
+        return regret_block(model, m, size, stream)
+
+    monkeypatch.setattr(estimators, "_regret_block", broken)
+    reports = []
+    with pytest.raises(RuntimeError, match="EVPI block failed"):
+        with worker_pool(threads) as pool:
+            reports.append(evppi_report(model, 0.05, n_evpi, RandomStream(3), pool=pool))
+    assert reports == []
 
 
 def test_cost_growth_under_epsilon_halving():

@@ -18,8 +18,8 @@ median, quartiles and range of ``total_cost``, and ``evpi_mc`` over the
 seeds of EVPI_RUN for the spread of its estimates against its median
 reported error. Last, it runs each checkout once with ``--trace 1`` on
 TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's and the
-EVPI's times read from the spans of the last traced call (see
-``evpi_timeline``). Both checkouts run on the
+EVPI's times, and the count of EVPI blocks handed off to the pool, read
+from the spans of the last traced call (see ``evpi_timeline``). Both checkouts run on the
 same machine, one process at a time; the machine record of every run is in
 its report line. Only the standard library is used; each checkout needs
 its own ``src/voimc``.
@@ -133,10 +133,13 @@ def evpi_over_seeds(tree: Path) -> dict:
 
 
 def evpi_timeline(spans: list[dict]) -> dict:
-    """Seconds of one traced EVPPI call. The EVPI's claiming worker runs
-    outside any traced block, so its calls are the root spans of the worker
-    threads; it holds its worker from the first of them to the last. The
-    tail is the EVPI's time after the driver returns."""
+    """Seconds of one traced EVPPI call, and the EVPI's handed-off blocks.
+    The EVPI's worker task runs outside any traced block, so its calls are
+    the root spans of the worker threads; it holds its worker from the first
+    of them to the last. The tail is the EVPI's time after the driver
+    returns. The blocks the finishing call maps over the pool once the
+    driver has returned are the ``estimators.block`` spans whose parent is
+    the ``mlmc.evppi_report`` span itself."""
     main = next(s["thread"] for s in spans if s["name"] == "cli.main")
     claimer = [s for s in spans if s["parent"] is None and s["thread"] != main]
     driver = next(s for s in spans if s["name"] == "mlmc.mlmc_run")
@@ -148,6 +151,9 @@ def evpi_timeline(spans: list[dict]) -> dict:
             if claimer else 0.0
         ),
         "evpi_tail_after_driver_s": report["end"] - driver["end"],
+        "evpi_blocks_handed_off": sum(
+            s["name"] == "estimators.block" and s["parent"] == report["id"] for s in spans
+        ),
     }
 
 

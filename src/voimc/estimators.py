@@ -243,23 +243,6 @@ def accumulate_p_level(
         acc_p.add_block(p)
 
 
-def sample_level_batch(
-    model: DecisionModel,
-    level: int,
-    n: int,
-    stream: RandomStream,
-    pool: Executor | None = None,
-    first_block: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (z, p_fine) arrays for n level-l draws; same substream layout as
-    :func:`accumulate_level`."""
-    blocks = _level_blocks(model, level, n, stream, first_block)
-    if not blocks:
-        return np.empty(0), np.empty(0)
-    zs, ps = zip(*_map_blocks(blocks, pool))
-    return np.concatenate(zs), np.concatenate(ps)
-
-
 def _evpi_blocks(model: DecisionModel, n: int, stream: RandomStream) -> list[tuple]:
     """The blocks of n EVPI draws (n even), each of whole antithetic pairs."""
     if n <= 0 or n % 2:
@@ -268,7 +251,10 @@ def _evpi_blocks(model: DecisionModel, n: int, stream: RandomStream) -> list[tup
 
 
 def _fold_regrets(model: DecisionModel, results) -> Estimate:
-    """The EVPI of :func:`_regret_block` results, folded in block order."""
+    """The EVPI of :func:`_regret_block` results, folded in block order:
+    the mean regret of the decision best on average, which equals
+    mean(max_d f_d) - max_d mean(f_d), with standard error sqrt(var / (n/2))
+    over the pair-averaged regrets."""
     regrets = [MomentAccumulator() for _ in range(model.decision_count)]
     for block in results:
         for acc, part in zip(regrets, block):
@@ -276,22 +262,6 @@ def _fold_regrets(model: DecisionModel, results) -> Estimate:
     best = min(regrets, key=lambda acc: acc.mean)
     std_error = math.sqrt(best.variance() / best.n) if best.n > 1 else math.nan
     return Estimate(value=best.mean, std_error=std_error, n=2 * best.n)
-
-
-def evpi_mc(
-    model: DecisionModel, n: int, stream: RandomStream, pool: Executor | None = None
-) -> Estimate:
-    """Plain-MC EVPI from n joint draws taken in n/2 antithetic pairs: each
-    pair is a draw and its reflection, all normals negated (n must be even).
-
-    The estimate is the mean regret of the decision d_hat that is best on
-    average, mean(max_d f_d - f_d_hat), which equals
-    mean(max_d f_d) - max_d mean(f_d). Its standard error is that regret's
-    spread over the pairs, sqrt(var / (n/2)), with each pair's regrets
-    averaged first. The blocks run on ``pool``, or on the caller's thread
-    when it is None, and are folded in block order.
-    """
-    return _fold_regrets(model, _map_blocks(_evpi_blocks(model, n, stream), pool))
 
 
 @contextmanager
@@ -302,8 +272,9 @@ def _evpi_ahead(
     pool: Executor | None = None,
     epsilon: float | None = None,
 ):
-    """Start the estimate of :func:`evpi_mc`; the call the ``with`` block
-    gets finishes it.
+    """Start the plain-MC EVPI of n joint draws in n/2 antithetic pairs,
+    each a draw and its reflection with all normals negated (n even); the
+    call the ``with`` block gets finishes it (see :func:`_fold_regrets`).
 
     With n None, n is sized from ``epsilon`` by a pilot: block 0, of the
     first block's size B. With v the pilot's variance of the pair-averaged
@@ -352,25 +323,3 @@ def _evpi_ahead(
         yield finish
     finally:
         stop.set()
-
-
-def nested_mc(
-    model: DecisionModel,
-    n_outer: int,
-    n_inner: int,
-    stream: RandomStream,
-    pool: Executor | None = None,
-) -> Estimate:
-    """Nested-MC estimate of EVPI - EVPPI: for each of n_outer draws of X,
-    average the inner gap over n_inner conditional draws.
-
-    Each bracket is nonnegative to the last bit and n_inner = 1 gives exactly
-    zero; the upward bias decays as n_inner grows.
-    """
-    if n_outer <= 0 or n_inner <= 0:
-        raise ValueError("sample counts must be positive")
-    acc = MomentAccumulator()
-    for p in _map_blocks(_blocks(_p_block, model, int(n_inner), n_outer, stream), pool):
-        acc.add_block(p)
-    std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
-    return Estimate(value=acc.mean, std_error=std_error, n=n_outer)

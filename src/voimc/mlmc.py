@@ -28,11 +28,9 @@ returns, the suffix left is spread over the whole pool through the same
 block map. Unless its draw count is given, the EVPI sizes it from eps with
 a pilot block, for a standard error of about eps/2.
 
-The reports built on the driver's arithmetic live here too: the multilevel
-cost against the modeled standard-MC cost, either from driver runs over
-several targets (cost_comparison) or projected from measured level
-statistics without a run (projected_costs), and the EVPI / EVPPI summary of
-a model (evppi_report).
+The reports built on the driver live here too: the multilevel cost
+against the modeled standard-MC cost from driver runs over several targets
+(cost_comparison), and the EVPI / EVPPI summary of a model (evppi_report).
 """
 
 from __future__ import annotations
@@ -68,9 +66,9 @@ _KURTOSIS_WARNING = 100.0
 # extrapolates from the last three level means.
 _INITIAL_LEVELS = 3
 
-# Warm-up size, and allocation floor, of the cost reports. A cost comparison
-# spans coarse targets where the driver's default warm-up would dominate the
-# measured cost and flatten nothing, so these reports use a lighter one.
+# Warm-up size of the cost comparison. It spans coarse targets where the
+# driver's default warm-up would dominate the measured cost and flatten
+# nothing, so it uses a lighter one.
 COMPARISON_WARMUP = 300
 
 
@@ -138,7 +136,9 @@ def optimal_allocation(
     cost-weighted split. Zero-variance levels get zero new samples. When
     every level has zero variance the formula degenerates; the fallback is
     ``min_allocation`` per level, flagged in the second return value. A
-    target too small for a finite count raises :class:`ConfigError`.
+    target too small for a finite count, or a variance that is not a finite
+    nonnegative number (a model whose payoffs overflow), raises
+    :class:`ConfigError`.
     """
     if not stats:
         raise ValueError("allocation needs at least one level")
@@ -147,7 +147,7 @@ def optimal_allocation(
     variances = []
     for s in stats:
         if not math.isfinite(s.var_z) or s.var_z < 0.0:
-            raise ValueError(f"level {s.level} variance estimate is unusable: {s.var_z}")
+            raise ConfigError(f"level {s.level} variance estimate is unusable: {s.var_z}")
         variances.append(s.var_z)
     costs = [float(s.cost_per_sample) for s in stats]
     if all(v == 0.0 for v in variances):
@@ -407,48 +407,6 @@ def cost_comparison(
     return rows
 
 
-def projected_costs(stats: Sequence[LevelStats], epsilon: float) -> ComparisonRow:
-    """Model both costs at a target accuracy from measured level statistics,
-    without running the driver.
-
-    The level cutoff comes from the extrapolated bias and the per-level
-    sample counts from the driver's optimal allocation, floored at
-    COMPARISON_WARMUP draws; variances beyond the measured levels decay at
-    the fitted beta. Useful where executing the run is itself too
-    expensive.
-    """
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise ValueError("the accuracy target must be positive")
-    measured = sorted((s for s in stats if s.level >= 1), key=lambda s: s.level)
-    if not measured:
-        raise InsufficientDataError("cost projection needs statistics for levels >= 1")
-    rates = fit_rates(stats, min_level=2)
-    cutoff, std_cost = standard_cost(measured, max(0.5, rates.alpha), epsilon)
-    by_level = {s.level: s for s in measured}
-    top = measured[-1]
-
-    def row(level: int) -> LevelStats:
-        # Only the variance and the cost of a row enter the allocation.
-        if level in by_level:
-            return by_level[level]
-        decay = 2.0 ** (-rates.beta * (level - top.level))
-        return dataclasses.replace(
-            top, level=level, var_z=top.var_z * decay, cost_per_sample=1 << level
-        )
-
-    rows = [row(level) for level in range(1, cutoff + 1)]
-    counts, _ = optimal_allocation(rows, epsilon, min_allocation=COMPARISON_WARMUP)
-    mlmc_cost = math.fsum(
-        max(COMPARISON_WARMUP, n) * 2.0**r.level for r, n in zip(rows, counts)
-    )
-    return ComparisonRow(
-        epsilon=float(epsilon),
-        mlmc_cost=mlmc_cost,
-        std_cost_model=std_cost,
-        ratio=std_cost / mlmc_cost,
-    )
-
-
 @dataclass(frozen=True)
 class EvppiReport:
     """EVPI, the partial-information gap, and their difference EVPPI.
@@ -458,8 +416,9 @@ class EvppiReport:
     in antithetic pairs, a count given or sized from ``epsilon`` (see
     :func:`evppi_report`), folded in block order whichever thread drew each
     block, and ``evpi_std_error`` is the spread of the pair-averaged regret
-    of the best decision over the ``n_evpi / 2`` pairs. RMS errors for the multilevel quantities combine the estimator
-    variance with the bias remainder estimate.
+    of the best decision over the ``n_evpi / 2`` pairs. RMS errors for the
+    multilevel quantities combine the estimator variance with the bias
+    remainder estimate.
     """
 
     evpi: float
@@ -484,13 +443,12 @@ def evppi_report(
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
-    The EVPI is drawn in antithetic pairs (see
-    :func:`~voimc.estimators.evpi_mc`), so a given ``n_evpi`` is even and
-    at least 4. With ``n_evpi`` None its block 0 is a pilot that sizes it:
-    with B the pilot's draws and v the per-pair variance of the
-    pair-averaged regret of the pilot's best decision,
-    n_evpi = max(B, 2 ceil(4 v / eps^2)), for a standard error of about
-    eps/2. The pilot stays in the estimate, so the report equals the one
+    The EVPI is drawn in antithetic pairs (see :mod:`voimc.estimators`),
+    so a given ``n_evpi`` is even and at least 4. With ``n_evpi`` None its
+    block 0 is a pilot that sizes it: with B the pilot's draws and v the
+    per-pair variance of the pair-averaged regret of the pilot's best
+    decision, n_evpi = max(B, 2 ceil(4 v / eps^2)), for a standard error
+    of about eps/2. The pilot stays in the estimate, so the report equals the one
     given that n_evpi outright.
 
     With a pool both share it, and no worker idles at the end: while the

@@ -1,0 +1,119 @@
+"""Test-only routines, each built on the code the library itself runs.
+
+The level draws, the brute-force nested-MC baseline and the plain-MC EVPI
+go through the block map of :mod:`voimc.estimators`, on the same blocks and
+substreams as the driver and the reports, so their bits are the library's;
+the cost projection is built on the driver's public arithmetic. The
+antithetic half averages are an independent replay of the level kernel's
+reductions.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+
+from voimc import InsufficientDataError, MomentAccumulator
+from voimc.diagnostics import fit_rates, standard_cost
+from voimc.estimators import (
+    Estimate,
+    _blocks,
+    _evpi_ahead,
+    _level_blocks,
+    _map_blocks,
+    _p_block,
+)
+from voimc.mlmc import COMPARISON_WARMUP, ComparisonRow, optimal_allocation
+
+
+def sample_level_batch(model, level, n, stream, pool=None, first_block=0):
+    """Raw (z, p_fine) arrays for n level-l draws; same substream layout as
+    :func:`voimc.estimators.accumulate_level`."""
+    blocks = _level_blocks(model, level, n, stream, first_block)
+    if not blocks:
+        return np.empty(0), np.empty(0)
+    zs, ps = zip(*_map_blocks(blocks, pool))
+    return np.concatenate(zs), np.concatenate(ps)
+
+
+def nested_mc(model, n_outer, n_inner, stream, pool=None):
+    """Nested-MC estimate of EVPI - EVPPI: for each of n_outer draws of X,
+    average the inner gap over n_inner conditional draws (any n_inner, not
+    only powers of two).
+
+    Each bracket is nonnegative to the last bit and n_inner = 1 gives exactly
+    zero; the upward bias decays as n_inner grows.
+    """
+    if n_outer <= 0 or n_inner <= 0:
+        raise ValueError("sample counts must be positive")
+    acc = MomentAccumulator()
+    for p in _map_blocks(_blocks(_p_block, model, int(n_inner), n_outer, stream), pool):
+        acc.add_block(p)
+    std_error = math.sqrt(acc.variance() / n_outer) if n_outer > 1 else math.nan
+    return Estimate(value=acc.mean, std_error=std_error, n=n_outer)
+
+
+def evpi_mc(model, n, stream, pool=None):
+    """Plain-MC EVPI from n joint draws in n/2 antithetic pairs (n even),
+    entered the way ``evppi_report`` enters it, and finished at once."""
+    with _evpi_ahead(model, n, stream, pool) as finish:
+        return finish()
+
+
+def projected_costs(stats, epsilon):
+    """Model the multilevel and the standard-MC cost at a target accuracy
+    from measured level statistics, without running the driver.
+
+    The level cutoff comes from the extrapolated bias and the per-level
+    sample counts from the driver's optimal allocation, floored at
+    COMPARISON_WARMUP draws; variances beyond the measured levels decay at
+    the fitted beta.
+    """
+    if epsilon <= 0.0 or not math.isfinite(epsilon):
+        raise ValueError("the accuracy target must be positive")
+    measured = sorted((s for s in stats if s.level >= 1), key=lambda s: s.level)
+    if not measured:
+        raise InsufficientDataError("cost projection needs statistics for levels >= 1")
+    rates = fit_rates(stats, min_level=2)
+    cutoff, std_cost = standard_cost(measured, max(0.5, rates.alpha), epsilon)
+    by_level = {s.level: s for s in measured}
+    top = measured[-1]
+
+    def row(level):
+        # Only the variance and the cost of a row enter the allocation.
+        if level in by_level:
+            return by_level[level]
+        decay = 2.0 ** (-rates.beta * (level - top.level))
+        return dataclasses.replace(
+            top, level=level, var_z=top.var_z * decay, cost_per_sample=1 << level
+        )
+
+    rows = [row(level) for level in range(1, cutoff + 1)]
+    counts, _ = optimal_allocation(rows, epsilon, min_allocation=COMPARISON_WARMUP)
+    mlmc_cost = math.fsum(
+        max(COMPARISON_WARMUP, n) * 2.0**r.level for r, n in zip(rows, counts)
+    )
+    return ComparisonRow(
+        epsilon=float(epsilon),
+        mlmc_cost=mlmc_cost,
+        std_cost_model=std_cost,
+        ratio=std_cost / mlmc_cost,
+    )
+
+
+def antithetic_terms(f):
+    """Per-decision half and full averages of a fine-level payoff block.
+
+    An independent replay of the level kernel's reductions: ``f`` has shape
+    (n, m, D) with m even, and the result is ``(mean_a, mean_b, mean_full)``,
+    each (n, D), where mean_full is derived from the same half sums, so
+    1/2 (mean_a + mean_b) equals mean_full to the last bit when m is a power
+    of two.
+    """
+    m = f.shape[1]
+    if m < 2 or m % 2:
+        raise ValueError("antithetic halves need an even number of inner samples")
+    half = m // 2
+    sum_a = f[:, :half, :].sum(axis=1)
+    sum_b = f[:, half:, :].sum(axis=1)
+    return sum_a / half, sum_b / half, (sum_a + sum_b) / m

@@ -26,17 +26,17 @@ from voimc import (
     synthetic3,
 )
 from voimc.diagnostics import fit_rates, level_sweep
-from voimc.estimators import (
-    accumulate_p_level,
-    evpi_mc,
-    nested_mc,
-    sample_level_batch,
-    worker_pool,
-)
-from voimc.mlmc import MlmcConfig, cost_comparison, mlmc_run, projected_costs
+from voimc.estimators import accumulate_p_level, worker_pool
+from voimc.mlmc import MlmcConfig, cost_comparison, mlmc_run
 from voimc.models import GaussianModelSpec
 
-from test_estimators import antithetic_terms
+from helpers import (
+    antithetic_terms,
+    evpi_mc,
+    nested_mc,
+    projected_costs,
+    sample_level_batch,
+)
 
 CLOSED_FORM_GAP = 1.0 / math.sqrt(math.pi) - 1.0 / math.sqrt(2.0 * math.pi)
 

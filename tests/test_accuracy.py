@@ -18,8 +18,10 @@ import numpy as np
 from scipy.stats import chi2
 
 from voimc import RandomStream, make_model, synthetic1
-from voimc.estimators import _evpi_ahead, evpi_mc
+from voimc.estimators import _evpi_ahead
 from voimc.mlmc import MlmcConfig, mlmc_run
+
+from helpers import evpi_mc
 
 # Chance that a driver which keeps its promise fails one check.
 FALSE_ALARM = 1e-3

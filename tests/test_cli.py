@@ -87,6 +87,14 @@ def test_config_errors_exit_3(tmp_path, capsys):
         cfg = tmp_path / f"bad_index_{k}.json"
         cfg.write_text(json.dumps(bad))
         cases.append(["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"])
+    # a valid config whose payoffs overflow: the driver's variances are NaN
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"means": [*BKOC_MEANS[:4], 1e110, 1e110, 1e110, *BKOC_MEANS[7:]]}))
+    cases += [
+        ["run", "--config", str(cfg), "--epsilon", "300"],
+        ["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"],
+        ["compare", "--config", str(cfg), "--epsilon", "300"],
+    ]
     for argv in cases:
         code, out = run_cli(tmp_path, *argv)
         captured = capsys.readouterr()

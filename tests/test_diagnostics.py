@@ -27,9 +27,10 @@ from voimc.mlmc import (
     cost_comparison,
     evppi_report,
     mlmc_run,
-    projected_costs,
 )
 from voimc.models import make_model
+
+from helpers import projected_costs
 
 
 def planted_stats(alpha=0.9, beta=1.3, levels=range(1, 7), var_p=1.0, n=100_000):

@@ -26,12 +26,11 @@ from voimc.estimators import (
     _BLOCK_VALUE_BUDGET,
     accumulate_level,
     accumulate_p_level,
-    evpi_mc,
-    nested_mc,
-    sample_level_batch,
     worker_pool,
 )
 from voimc.models import GaussianModelSpec
+
+from helpers import antithetic_terms, evpi_mc, nested_mc, sample_level_batch
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
 MODEL_IDS = [m.name for m in ALL_MODELS]
@@ -62,24 +61,6 @@ def replay_payoffs(model, level, n, stream):
     x = model.sample_outer(stream, n)
     y = model.sample_inner(x, stream, 1 << level)
     return model.payoffs(x, y)
-
-
-def antithetic_terms(f):
-    """Per-decision half and full averages of a fine-level payoff block.
-
-    An independent replay of the level kernel's reductions: ``f`` has shape
-    (n, m, D) with m even, and the result is ``(mean_a, mean_b, mean_full)``,
-    each (n, D), where mean_full is derived from the same half sums, so
-    1/2 (mean_a + mean_b) equals mean_full to the last bit when m is a power
-    of two.
-    """
-    m = f.shape[1]
-    if m < 2 or m % 2:
-        raise ValueError("antithetic halves need an even number of inner samples")
-    half = m // 2
-    sum_a = f[:, :half, :].sum(axis=1)
-    sum_b = f[:, half:, :].sum(axis=1)
-    return sum_a / half, sum_b / half, (sum_a + sum_b) / m
 
 
 def test_antithetic_terms_exact_identity():
@@ -394,7 +375,9 @@ def test_evpi_handoff_draws_every_block_once(monkeypatch):
     for n in (2000, None):
         with estimators._evpi_ahead(model, n, RandomStream(41), epsilon=epsilon) as finish:
             alone[n] = finish()
-    assert alone[2000] == evpi_mc(model, 2000, RandomStream(41))
+    # the handoff folds to the plain block map of the same blocks
+    plain = map(estimators._run_block, estimators._evpi_blocks(model, 2000, RandomStream(41)))
+    assert alone[2000] == estimators._fold_regrets(model, plain)
     assert alone[None].n > 1000
     drawn, by_task, by_map, threads = [], [], [], set()
     regret_block = estimators._regret_block

@@ -14,9 +14,10 @@ change/parent ratio of the medians, the parent's interquartile range, and
 whether the change's median stays within the metric's bound, and prints
 that table to stderr. It then runs the adaptive driver of each checkout
 over ``--seeds`` seeds at the fixed targets in COST_RUNS and records the
-median, quartiles and range of ``total_cost``, and ``evpi_mc`` over the
-seeds of EVPI_RUN for the spread of its estimates against its median
-reported error. Last, it runs each checkout once with ``--trace 1`` on
+median, quartiles and range of ``total_cost``, and the plain-MC EVPI over
+the seeds of EVPI_RUN, entered through ``_evpi_ahead`` as the EVPPI report
+enters it, for the spread of its estimates against its median reported
+error. Last, it runs each checkout once with ``--trace 1`` on
 TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's and the
 EVPI's times, and the count of EVPI blocks handed off to the pool, read
 from the spans of the last traced call (see ``evpi_timeline``). Both checkouts run on the
@@ -64,13 +65,14 @@ EVPI_RUN = ("bkoc", (5, 14), 50_000, 40)
 EVPI_CODE = """\
 import json, sys
 from voimc import RandomStream, make_model
-from voimc.estimators import evpi_mc
+from voimc.estimators import _evpi_ahead
 name, outer, n, seeds = json.loads(sys.argv[1])
 model = make_model(name, outer=tuple(outer))
-print(json.dumps([
-    [e.value, e.std_error]
-    for e in (evpi_mc(model, n, RandomStream(seed)) for seed in range(1, seeds + 1))
-]))
+estimates = []
+for seed in range(1, seeds + 1):
+    with _evpi_ahead(model, n, RandomStream(seed)) as finish:
+        estimates.append(finish())
+print(json.dumps([[e.value, e.std_error] for e in estimates]))
 """
 
 

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage, 3 configuration, 4 driver non-convergence
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -58,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, plot: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, epsilon: str = "", plot: bool = False) -> None:
+        if epsilon:
+            p.add_argument("--epsilon", action="append", type=float, help=epsilon)
         p.add_argument("--model", help=f"built-in model name ({', '.join(MODEL_NAMES)})")
         p.add_argument("--config", help="path to a JSON model configuration file")
         p.add_argument(
@@ -87,11 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_run = sub.add_parser("run", help="adaptive estimate of EVPI - EVPPI at one target")
-    p_run.add_argument(
-        "--epsilon", action="append", type=float, help="RMS accuracy target (exactly one)"
-    )
     p_run.add_argument("--max-level", type=int, default=25, help="finest level the driver may use")
-    add_common(p_run)
+    add_common(p_run, epsilon="RMS accuracy target (exactly one)")
 
     p_levels = sub.add_parser("levels", help="per-level statistics sweep")
     p_levels.add_argument("--max-level", type=int, default=10, help="finest level to sweep")
@@ -103,18 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser(
         "compare", help="multilevel cost vs modeled standard-MC cost over targets"
     )
-    p_compare.add_argument(
-        "--epsilon",
-        action="append",
-        type=float,
-        help="RMS accuracy target (repeat for several)",
-    )
-    add_common(p_compare, plot=True)
+    add_common(p_compare, epsilon="RMS accuracy target (repeat for several)", plot=True)
 
     p_evppi = sub.add_parser("evppi", help="EVPI / EVPPI report for one partition")
-    p_evppi.add_argument(
-        "--epsilon", action="append", type=float, help="RMS target for the gap (exactly one)"
-    )
     p_evppi.add_argument(
         "--n",
         type=int,
@@ -122,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "even and at least 4 (default: sized by a pilot block for a standard "
         "error of about epsilon/2)",
     )
-    add_common(p_evppi)
+    add_common(p_evppi, epsilon="RMS target for the gap (exactly one)")
 
     return parser
 
@@ -376,15 +367,7 @@ def _cmd_levels(args, model: DecisionModel, pool: Executor | None) -> dict:
         fields={
             "n_per_level": int(args.n),
             "levels": _level_dicts(stats),
-            "rates": None
-            if rates is None
-            else {
-                "alpha": rates.alpha,
-                "beta": rates.beta,
-                "gamma": rates.gamma,
-                "r_squared_alpha": rates.r_squared_alpha,
-                "r_squared_beta": rates.r_squared_beta,
-            },
+            "rates": None if rates is None else dataclasses.asdict(rates),
         },
         columns=_LEVEL_COLUMNS,
         rows=_level_rows(stats),

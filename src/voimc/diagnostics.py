@@ -128,6 +128,14 @@ def fit_rates(stats: Sequence[LevelStats], min_level: int = 2) -> RateEstimates:
     )
 
 
+def _finite(s: LevelStats) -> LevelStats:
+    """``s``, refused with :class:`ConfigError` when a mean or variance is
+    not finite, as when a model's payoffs overflow."""
+    if not all(map(math.isfinite, (s.mean_z, s.var_z, s.mean_p, s.var_p))):
+        raise ConfigError(f"level {s.level} statistics are not finite: the payoffs overflow")
+    return s
+
+
 def level_sweep(
     model: DecisionModel,
     max_level: int,
@@ -147,12 +155,12 @@ def level_sweep(
         raise ConfigError("level sweeps need at least 1000 draws per level")
     acc_p0 = MomentAccumulator()
     accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, pool=pool)
-    rows = [stats_from_accumulators(0, acc_p0, acc_p0)]
+    rows = [_finite(stats_from_accumulators(0, acc_p0, acc_p0))]
     for level in range(1, int(max_level) + 1):
         acc_z = MomentAccumulator()
         acc_p = MomentAccumulator()
         accumulate_level(model, level, n_per_level, stream.split(level), acc_z, acc_p, pool=pool)
-        rows.append(stats_from_accumulators(level, acc_z, acc_p))
+        rows.append(_finite(stats_from_accumulators(level, acc_z, acc_p)))
     return rows
 
 

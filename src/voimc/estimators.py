@@ -38,14 +38,11 @@ which breaks the bitwise identities at n = 1 (deep levels, and the ragged
 last block of a top-up) and changes the output bits.
 
 The EVPI, E[max_d f_d] - max_d E[f_d], is plain Monte Carlo over joint
-draws (m = 1) taken in antithetic pairs: each block's stream is wrapped so
-that draw j + k/2 of a k-draw block is draw j with every normal negated.
-A block reduces, per decision d, to the moments of the pair-averaged regret
-max_d' f_d' - f_d. The estimate is the least mean regret, and its standard
-error that regret's spread over the pairs. The number of draws is given,
-or sized from a target by a pilot block. Its blocks are built and run like
-every other; beside a driver, a task on the pool draws a prefix of them in
-order and the rest go through the block map (see _evpi_ahead).
+draws (m = 1) in antithetic pairs, whatever the layout of a model's draws:
+a block draws half its draws fresh and replays the same calls reflected
+(_regret_block). The estimate is the least mean regret (_fold_regrets),
+and its blocks run like every other, beside a driver if need be
+(_evpi_ahead).
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
@@ -68,7 +65,7 @@ import numpy as np
 
 from .models import DecisionModel
 from .moments import MomentAccumulator
-from .streams import RandomStream, VariateSource, _ReflectedStream
+from .streams import RandomStream, VariateSource, _Reflecting, _Replay
 
 # Block sizing: roughly this many payoff values per block keeps peak memory
 # modest while amortizing vectorization overhead. Block boundaries depend only
@@ -137,12 +134,16 @@ def _p_block(model: DecisionModel, m: int, n: int, stream: RandomStream) -> np.n
 def _regret_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     """One block of n joint draws (m = 1) in n/2 antithetic pairs, reduced
     where it runs: per decision d, the moments of the pair-averaged regret
-    max_d' f_d' - f_d. Draw j + n/2 reflects draw j (see _ReflectedStream)."""
-    g = _payoffs_with_best(model, m, n, _ReflectedStream(stream))[0]
-    np.subtract(g[-1], g[:-1], out=g[:-1])
-    half = n // 2
-    pairs = g[:-1, :half]
-    pairs += g[:-1, half:]
+    max_d' f_d' - f_d. The model draws n/2 fresh joint draws through a
+    :class:`_Reflecting` stream, then makes the same calls on a
+    :class:`_Replay` of their reflections: partner j reflects draw j."""
+    fresh = _Reflecting(stream)
+    g = _payoffs_with_best(model, m, n // 2, fresh)[0]
+    replay = _Replay(fresh.reflections)
+    partner = _payoffs_with_best(model, m, n // 2, replay)[0]
+    replay.close()
+    pairs = np.subtract(g[-1], g[:-1], out=g[:-1])
+    pairs += np.subtract(partner[-1], partner[:-1], out=partner[:-1])
     pairs *= 0.5
     accs = [MomentAccumulator() for _ in range(model.decision_count)]
     for acc, row in zip(accs, pairs):
@@ -273,7 +274,7 @@ def _evpi_ahead(
     epsilon: float | None = None,
 ):
     """Start the plain-MC EVPI of n joint draws in n/2 antithetic pairs,
-    each a draw and its reflection with all normals negated (n even); the
+    each a draw and its reflection (see :func:`_regret_block`, n even); the
     call the ``with`` block gets finishes it (see :func:`_fold_regrets`).
 
     With n None, n is sized from ``epsilon`` by a pilot: block 0, of the

@@ -22,11 +22,8 @@ pool, a pass puts the blocks of every level it tops up or adds on the pool
 at once, through the one block map of :mod:`voimc.estimators`, and then
 folds each level's blocks on the caller's thread, level by level and in
 block order. Without one, each block runs on the caller's thread as it is
-folded. The EVPI of an EVPPI report shares the pool: one task draws a
-prefix of its blocks in order beside the driver, and once the driver
-returns, the suffix left is spread over the whole pool through the same
-block map. Unless its draw count is given, the EVPI sizes it from eps with
-a pilot block, for a standard error of about eps/2.
+folded. The EVPI of an EVPPI report shares the pool, beside the driver
+(see :func:`voimc.estimators._evpi_ahead`).
 
 The reports built on the driver live here too: the multilevel cost
 against the modeled standard-MC cost from driver runs over several targets
@@ -282,7 +279,6 @@ def mlmc_run(
     converged = False
     alpha, beta = math.nan, math.nan
     remainder = math.nan
-    degenerate_warned = False
 
     for iteration in range(_MAX_ITERATIONS):
         stats = pooled_stats()
@@ -290,11 +286,9 @@ def mlmc_run(
         targets, degenerate = optimal_allocation(
             _floored_variances(stats, beta), config.epsilon, config.warmup_samples
         )
-        if degenerate and not degenerate_warned:
-            warnings.append(
-                "all level variances are zero; using the minimum allocation per level"
-            )
-            degenerate_warned = True
+        degenerate_note = "all level variances are zero; using the minimum allocation per level"
+        if degenerate and degenerate_note not in warnings:
+            warnings.append(degenerate_note)
         record = {
             "iteration": iteration,
             "levels": [s.level for s in stats],
@@ -448,16 +442,12 @@ def evppi_report(
     block 0 is a pilot that sizes it: with B the pilot's draws and v the
     per-pair variance of the pair-averaged regret of the pilot's best
     decision, n_evpi = max(B, 2 ceil(4 v / eps^2)), for a standard error
-    of about eps/2. The pilot stays in the estimate, so the report equals the one
-    given that n_evpi outright.
+    of about eps/2. The pilot stays in the estimate, so the report equals
+    the one given that n_evpi outright.
 
-    With a pool both share it, and no worker idles at the end: while the
-    driver runs, one task draws the EVPI's pilot and then a prefix of its
-    blocks in block order; once the driver returns, the task stops after
-    the block it holds, and the suffix is spread over the whole pool. The
-    EVPI's blocks run only on the pool's workers. If the driver raises, the
-    EVPI draws no further block and the error propagates; so does an error
-    in an EVPI block, and no report is returned.
+    With a pool both share it, as :func:`voimc.estimators._evpi_ahead`
+    describes. If the driver raises, the EVPI draws no further block and
+    the error propagates; so does an error in an EVPI block.
     The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """

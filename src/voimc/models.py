@@ -3,16 +3,16 @@
 A decision model exposes a partition of its random inputs into an outer part
 X (the quantities one could learn before deciding) and an inner part Y (the
 residual uncertainty), together with one payoff function per decision. All
-sampling goes through :class:`~voimc.streams.VariateSource` (a
-:class:`~voimc.streams.RandomStream` or the EVPI's antithetic stand-in for
-one), and batch methods are vectorized: ``n`` outer draws at a time, ``m``
-inner draws per outer draw.
+sampling goes through :class:`~voimc.streams.VariateSource`, and batch
+methods are vectorized: ``n`` outer draws at a time, ``m`` inner draws per
+outer draw.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError, ConfigError
-from .streams import VariateSource
+from .streams import _MAX_NORMAL, VariateSource
 
 
 class DecisionModel(ABC):
@@ -37,15 +37,9 @@ class DecisionModel(ABC):
     :meth:`conditional_means`.
 
     ``sample_outer`` and ``sample_inner`` draw only through the
-    ``normals`` and ``uniforms`` of the stream they receive, and use no
-    other member of it (no ``split``, ``seed`` or ``path``). The leading
-    axis of every ``normals`` shape, and the count of every ``uniforms``
-    call, runs over outer rows. The EVPI passes an antithetic stand-in
-    whose call for k rows returns k/2 fresh rows followed by their
-    reflection (normals negated, uniforms u -> 1 - u), so row j + k/2 must
-    belong to outer draw j + k/2. A draw laid out another way, say
-    ``stream.normals((inner_dim, n)).T``, would pair variables within one
-    draw and bias the EVPI without an error.
+    ``normals`` and ``uniforms`` of the stream they receive, and make the
+    same calls for the same n and m. The EVPI replays a block's calls to
+    draw their reflections, and raises ``ValueError`` if they differ.
     """
 
     name: str
@@ -55,15 +49,11 @@ class DecisionModel(ABC):
 
     @abstractmethod
     def sample_outer(self, stream: VariateSource, n: int) -> np.ndarray:
-        """Draw ``n`` outer samples; shape (n, outer_dim). Every draw from
-        ``stream`` has its leading axis over the ``n`` rows (see the class
-        docstring)."""
+        """Draw ``n`` outer samples; shape (n, outer_dim)."""
 
     @abstractmethod
     def sample_inner(self, outer: np.ndarray, stream: VariateSource, m: int) -> np.ndarray:
-        """Draw ``m`` inner samples per outer row from Y | X; shape (n, m, inner_dim).
-        Every draw from ``stream`` has its leading axis over the outer rows
-        (see the class docstring)."""
+        """Draw ``m`` inner samples per outer row from Y | X; shape (n, m, inner_dim)."""
 
     @abstractmethod
     def payoffs(
@@ -189,6 +179,10 @@ BKOC_CORRELATED_PAIRS = ((5, 7, 0.6), (14, 16, 0.6))
 BKOC_LAMBDA = 1.0e4
 BKOC_DEFAULT_OUTER = (5, 14)
 
+# The largest payoff magnitude a spec may allow: payoff differences, their
+# fourth powers and sums over 2^64 draws stay finite, (2e64)^4 * 2^64 ~ 3e276.
+_PAYOFF_CAP = 1e64
+
 
 def _index(value, field: str) -> int:
     """A 1-based variable index; booleans, floats and strings are refused
@@ -247,12 +241,11 @@ class GaussianModelSpec:
         object.__setattr__(self, "lam", _number(self.lam, "lambda"))
         if len(self.means) != _N_VARS or len(self.std_devs) != _N_VARS:
             raise ConfigError(f"means and std_devs must each have {_N_VARS} entries")
-        if not all(np.isfinite(self.means)):
-            raise ConfigError("means must be finite")
-        if not all(np.isfinite(self.std_devs)) or min(self.std_devs) <= 0.0:
-            raise ConfigError("std_devs must be positive and finite")
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ConfigError("lambda must be positive and finite")
+        # a mean, spread or lambda that is not finite fails the payoff cap below
+        if not min(self.std_devs) > 0.0:
+            raise ConfigError("std_devs must be positive")
+        if not self.lam > 0.0:
+            raise ConfigError("lambda must be positive")
         seen = set()
         for i, j, r in self.correlated_pairs:
             if not (1 <= i <= _N_VARS and 1 <= j <= _N_VARS) or i == j:
@@ -272,6 +265,17 @@ class GaussianModelSpec:
             np.linalg.cholesky(self.correlation_matrix())
         except np.linalg.LinAlgError:
             raise ConfigError("correlated_pairs imply a non-positive-definite correlation matrix")
+        # Each variable, outer or conditional, is its mean plus a row of the
+        # joint Cholesky factor, of norm sigma_i, times at most 19 normals.
+        spread = _N_VARS**0.5 * _MAX_NORMAL
+        reach = [abs(mu) + spread * sd for mu, sd in zip(self.means, self.std_devs)]
+        for terms in _BKOC_TERMS_RAW:
+            bound = sum(
+                (self.lam if c == "lam" else abs(c)) * math.prod(reach[i] for i in idx)
+                for c, idx in terms
+            )
+            if not bound <= _PAYOFF_CAP:
+                raise ConfigError(f"payoffs could reach {bound:.3g}, above the cap {_PAYOFF_CAP:g}")
 
     def correlation_matrix(self) -> np.ndarray:
         corr = np.eye(_N_VARS)

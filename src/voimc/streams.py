@@ -1,4 +1,4 @@
-"""Splittable, reproducible random streams."""
+"""Splittable, reproducible random streams, and the EVPI's reflect-and-replay stand-ins."""
 
 from __future__ import annotations
 
@@ -16,6 +16,9 @@ _MIN_UNIFORM = 2.0**-54
 # The largest double below 1: the reflection 1 - u of the clamped 2^-54
 # would round to 1.0, which the inverse normal CDF maps to +inf.
 _MAX_UNIFORM = 1.0 - 2.0**-53
+
+# About 8.29: no normal of the stream, nor its reflection, is larger in magnitude.
+_MAX_NORMAL = -float(ndtri(_MIN_UNIFORM))
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -77,63 +80,61 @@ class RandomStream:
 
 class VariateSource(Protocol):
     """What a model's ``sample_outer`` and ``sample_inner`` receive: a
-    :class:`RandomStream`, or the EVPI's antithetic stand-in for one
-    (``_ReflectedStream``). A model draws only through these two members,
-    with the leading axis of every ``normals`` shape, and the count of every
-    ``uniforms`` call, running over outer rows."""
+    :class:`RandomStream`, or one of the EVPI's stand-ins for one
+    (``_Reflecting``, ``_Replay``). A model draws only through these two
+    members, and makes the same calls for the same n and m."""
 
     def uniforms(self, n: int) -> np.ndarray: ...
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray: ...
 
 
-class _ReflectedStream:
-    """Stand-in for a block's stream that draws in antithetic pairs.
+class _Reflecting:
+    """Stand-in for a block's stream that passes each draw through and keeps
+    its reflection, in call order: the exact negation z -> -z of normals,
+    and u -> min(1 - u, _MAX_UNIFORM) of uniforms. The reflection is taken
+    at the call, before the model may change the draw in place. A
+    :class:`_Replay` of ``reflections`` then hands the model its draws'
+    antithetic partners; each member of a pair has the stream's law."""
 
-    A call for k leading rows draws k/2 fresh rows through the wrapped
-    stream's public ``normals`` or ``uniforms`` and returns them followed by
-    their reflection: the exact negation z -> -z of each normal, and
-    u -> 1 - u of each uniform. Row j + k/2 of every call is then the
-    reflection of row j, so for a model that draws its outer and its inner
-    variates through these calls, joint draw j + k/2 is the antithetic
-    partner of draw j. Each member of a pair has the stream's law. The
-    leading count must be even.
-    """
-
-    __slots__ = ("_stream",)
+    __slots__ = ("_stream", "reflections")
 
     def __init__(self, stream: RandomStream):
         self._stream = stream
+        self.reflections: list[tuple[str, np.ndarray]] = []
 
     def uniforms(self, n: int) -> np.ndarray:
-        def reflect(u, out):
-            np.subtract(1.0, u, out=out)
-            np.minimum(out, _MAX_UNIFORM, out=out)
-
-        return _pairs((int(n),), self._stream.uniforms, reflect)
+        u = self._stream.uniforms(n)
+        self.reflections.append(("uniforms", np.minimum(1.0 - u, _MAX_UNIFORM)))
+        return u
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        shape = _shape(shape)
-        return _pairs(shape, lambda rows: self._stream.normals((rows, *shape[1:])), np.negative)
+        z = self._stream.normals(shape)
+        self.reflections.append(("normals", -z))
+        return z
 
 
-# Fresh rows are drawn in chunks of about this many values. A stream draws
-# the same values in chunks as in one call, and the chunk is the only array
-# besides the result: a half-block temporary raised the peak memory of a
-# two-worker EVPPI report by about a tenth.
-_PAIR_CHUNK_VALUES = 1 << 15
+class _Replay:
+    """Stand-in that answers each call with the next kept reflection. A call
+    that differs from the recorded one, or comes after the last, raises
+    ``ValueError``, as does :meth:`close` while recorded calls are left."""
 
+    __slots__ = ("_kept",)
 
-def _pairs(shape: tuple[int, ...], draw, reflect) -> np.ndarray:
-    """An array of ``shape`` whose first half of rows is ``draw(rows)``,
-    called in chunks, and whose second half is ``reflect`` of the first."""
-    if not shape or shape[0] % 2:
-        raise ValueError("antithetic pairs need an even leading count")
-    half = shape[0] // 2
-    out = np.empty(shape)
-    step = max(1, _PAIR_CHUNK_VALUES // max(1, math.prod(shape[1:])))
-    for start in range(0, half, step):
-        stop = min(half, start + step)
-        out[start:stop] = draw(stop - start)
-    reflect(out[:half], out=out[half:])
-    return out
+    def __init__(self, reflections: list[tuple[str, np.ndarray]]):
+        self._kept = reflections[::-1]
+
+    def _next(self, kind: str, shape: tuple[int, ...]) -> np.ndarray:
+        if not self._kept or self._kept[-1][0] != kind or self._kept[-1][1].shape != shape:
+            raise ValueError(f"a replayed {kind}{shape} call differs from the recorded draws")
+        return self._kept.pop()[1]
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return self._next("uniforms", (int(n),))
+
+    def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        return self._next("normals", _shape(shape))
+
+    def close(self) -> None:
+        if self._kept:
+            raise ValueError("the replayed draws stopped before the recorded ones")

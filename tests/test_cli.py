@@ -37,7 +37,7 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_config_errors_exit_3(tmp_path, capsys):
+def test_config_errors_exit_3(tmp_path, monkeypatch, capsys):
     cases = [
         ["run", "--model", "nonesuch", "--epsilon", "0.1"],
         ["run", "--model", "synthetic1"],  # no epsilon
@@ -87,14 +87,6 @@ def test_config_errors_exit_3(tmp_path, capsys):
         cfg = tmp_path / f"bad_index_{k}.json"
         cfg.write_text(json.dumps(bad))
         cases.append(["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"])
-    # a valid config whose payoffs overflow: the driver's variances are NaN
-    cfg = tmp_path / "overflow.json"
-    cfg.write_text(json.dumps({"means": [*BKOC_MEANS[:4], 1e110, 1e110, 1e110, *BKOC_MEANS[7:]]}))
-    cases += [
-        ["run", "--config", str(cfg), "--epsilon", "300"],
-        ["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"],
-        ["compare", "--config", str(cfg), "--epsilon", "300"],
-    ]
     for argv in cases:
         code, out = run_cli(tmp_path, *argv)
         captured = capsys.readouterr()
@@ -103,6 +95,27 @@ def test_config_errors_exit_3(tmp_path, capsys):
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "config"
         assert err["message"]
+    # a config whose payoffs could overflow: refused as the model is built,
+    # before any sampling, and with nothing on stderr but the error line
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling started for a config whose payoffs overflow")
+
+    for target in ("voimc.cli.mlmc_run", "voimc.mlmc.mlmc_run", "voimc.cli.level_sweep"):
+        monkeypatch.setattr(target, refuse)
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"means": [*BKOC_MEANS[:4], 1e110, 1e110, 1e110, *BKOC_MEANS[7:]]}))
+    for argv in (
+        ["run", "--config", str(cfg), "--epsilon", "300"],
+        ["evppi", "--config", str(cfg), "--epsilon", "300", "--n", "5000"],
+        ["compare", "--config", str(cfg), "--epsilon", "300"],
+        ["levels", "--config", str(cfg), "--max-level", "3", "--n", "1000"],
+    ):
+        code, out = run_cli(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert not out.exists(), argv
+        assert len(err.splitlines()) == 1, argv
+        assert json.loads(err)["error"] == "config"
 
 
 @pytest.mark.parametrize(

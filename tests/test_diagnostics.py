@@ -10,6 +10,7 @@ from voimc import (
     InsufficientDataError,
     MomentAccumulator,
     RandomStream,
+    SyntheticModel,
     synthetic1,
     synthetic3,
 )
@@ -149,6 +150,13 @@ def test_level_sweep_validation():
         level_sweep(synthetic1(), max_level=0, n_per_level=2000, stream=RandomStream(1))
     with pytest.raises(ValueError):
         level_sweep(synthetic1(), max_level=2, n_per_level=999, stream=RandomStream(1))
+
+
+def test_level_sweep_refuses_overflowing_payoffs():
+    # a payoff of inf makes every gap inf - inf: NaN statistics from level 0
+    blown = SyntheticModel("blown", (np.zeros_like, lambda x: np.full_like(x, np.inf)), (0.0, 1.0))
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match="level 0"):
+        level_sweep(blown, max_level=3, n_per_level=1000, stream=RandomStream(1))
 
 
 def test_level_sweep_thread_invariance():

@@ -318,25 +318,78 @@ def test_evpi_draws_reflected_pairs(monkeypatch, pairs_per_block):
     model = RecordingModel()
     n = 4 * pairs_per_block + 6
     est = evpi_mc(model, n, RandomStream(5))
+    # a block draws its fresh half, then the same calls for the partners
     sizes = [len(z) for kind, z in model.calls if kind == "outer"]
-    assert sizes == [2 * pairs_per_block] * 2 + [6]
+    assert sizes == [pairs_per_block] * 4 + [3, 3]
     outers, inners = [], []
-    for b, k in enumerate(sizes):
-        (kind_x, x), (kind_y, y) = model.calls[2 * b : 2 * b + 2]
-        assert (kind_x, kind_y) == ("outer", "inner")
-        assert x.shape == (k, 2) and y.shape == (k, 1, 3)
-        half = k // 2
-        for z in (x, y):
-            assert z[half:].tobytes() == (-z[:half]).tobytes()
+    for b, half in enumerate(sizes[::2]):
+        kinds = [kind for kind, _ in model.calls[4 * b : 4 * b + 4]]
+        assert kinds == ["outer", "inner"] * 2
+        x, y, x_partner, y_partner = (z for _, z in model.calls[4 * b : 4 * b + 4])
+        assert x.shape == x_partner.shape == (half, 2)
+        assert y.shape == y_partner.shape == (half, 1, 3)
         # the fresh halves are the block substream's public draws, in order
         sub = RandomStream(5).split(b)
-        assert x[:half].tobytes() == sub.normals((half, 2)).tobytes()
-        assert y[:half].tobytes() == sub.normals((half, 1, 3)).tobytes()
-        outers.append(x)
-        inners.append(y)
+        assert x.tobytes() == sub.normals((half, 2)).tobytes()
+        assert y.tobytes() == sub.normals((half, 1, 3)).tobytes()
+        # and every partner is their exact negation
+        assert x_partner.tobytes() == (-x).tobytes()
+        assert y_partner.tobytes() == (-y).tobytes()
+        outers += [x, x_partner]
+        inners += [y, y_partner]
     f = model.payoffs(np.concatenate(outers), np.concatenate(inners))[:, 0, :]
     want = f.max(axis=1).mean() - f.mean(axis=0).max()
     assert est.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class VariableMajorModel(DecisionModel):
+    """f_1 = 0, f_2 = X + Y1 + Y2 with X, Y1, Y2 independent N(0, 1), the
+    two inner normals drawn variable-major, as ``normals((2, n)).T``. Its
+    EVPI is E[max(0, S)] with S ~ N(0, 3), that is sqrt(3 / (2 pi))."""
+
+    name = "variable-major"
+    decision_count = 2
+    outer_dim = 1
+    inner_dim = 2
+
+    def sample_outer(self, stream, n):
+        return stream.normals((n, 1))
+
+    def sample_inner(self, outer, stream, m):
+        n = outer.shape[0]
+        return stream.normals((2, n * m)).T.reshape(n, m, 2)
+
+    def payoffs(self, outer, inner, out=None):
+        n, m = inner.shape[:2]
+        f = np.empty((m, 2, n)).transpose(2, 0, 1) if out is None else out
+        f[..., 0] = 0.0
+        f[..., 1] = outer + inner.sum(axis=2)
+        return f
+
+
+def test_evpi_pairs_any_draw_layout():
+    # a stand-in that reflected the second half of each call's leading axis
+    # would pair Y2 with -Y1 within one draw here, and read about 0.399
+    est = evpi_mc(VariableMajorModel(), 200_000, RandomStream(3))
+    assert abs(est.value - math.sqrt(3.0 / (2.0 * math.pi))) < 4.0 * est.std_error
+
+
+class ShiftingModel(SyntheticModel):
+    """synthetic1's payoffs, but each call of ``sample_outer`` draws one row
+    more than the last, so its partners' calls differ from its fresh ones."""
+
+    def __init__(self):
+        super().__init__("shifting", (np.zeros_like, lambda x: x), (0.0, 1.0))
+        self.extra = 0
+
+    def sample_outer(self, stream, n):
+        self.extra += 1
+        return stream.normals((n + self.extra, 1))[:n]
+
+
+def test_evpi_replay_that_draws_differently_raises():
+    with pytest.raises(ValueError, match="differs from the recorded draws"):
+        evpi_mc(ShiftingModel(), 1000, RandomStream(3))
 
 
 class MarkingPool:

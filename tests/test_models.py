@@ -1,6 +1,7 @@
 """Model sampling laws, payoff values, and configuration validation."""
 
 import itertools
+import math
 import json
 
 import numpy as np
@@ -280,6 +281,21 @@ def test_spec_validation():
     # a correlation cycle that no joint Gaussian admits
     with pytest.raises(ConfigError):
         GaussianModelSpec(correlated_pairs=((1, 2, 0.9), (2, 3, 0.9), (1, 3, -0.9)))
+    # payoffs that could leave 1e64 for some variate the stream can give, and
+    # so any parameter that is not finite, are refused
+    for bad in (
+        {"means": (*BKOC_MEANS[:4], 1e110, 1e110, 1e110, *BKOC_MEANS[7:])},
+        {"means": (math.inf,) + BKOC_MEANS[1:]},
+        {"means": (math.nan,) + BKOC_MEANS[1:]},
+        {"std_devs": BKOC_STD_DEVS[:-1] + (math.inf,)},
+        {"std_devs": BKOC_STD_DEVS[:-1] + (math.nan,)},
+        {"lam": math.inf},
+        {"lam": math.nan},
+        {"lam": 1e70},
+    ):
+        with pytest.raises(ConfigError):
+            GaussianModelSpec(**bad)
+    GaussianModelSpec(lam=1e50)
 
 
 def test_dense_pairs_accepted():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voimc import RandomStream
-from voimc.streams import _ReflectedStream
+from voimc.streams import _Reflecting, _Replay
 
 
 def test_same_identity_reproduces_draws():
@@ -94,25 +94,46 @@ def test_draw_count_validation():
         RandomStream(1).uniforms(-1)
 
 
-def test_reflected_stream_pairs_each_row_with_its_reflection():
-    stream = _ReflectedStream(RandomStream(5))
+def test_replay_answers_each_call_with_its_reflection():
+    stream = _Reflecting(RandomStream(5))
     fresh = RandomStream(5)
-    # the last two draw their fresh half in more than one chunk
-    for shape in ((6,), (4, 3), (10, 2, 3), (80_002, 1), (20_000, 2, 3)):
-        z = stream.normals(shape[0] if len(shape) == 1 else shape)
-        want = fresh.normals((shape[0] // 2, *shape[1:]))
-        half = shape[0] // 2
-        assert z.shape == shape
-        assert z[:half].tobytes() == want.tobytes()
-        assert z[half:].tobytes() == (-want).tobytes()
-    for n in (8, 80_000):
-        u = stream.uniforms(n)
-        want = fresh.uniforms(n // 2)
-        assert u[: n // 2].tobytes() == want.tobytes()
-        np.testing.assert_array_equal(u[n // 2 :], 1.0 - want)
-    for bad in (lambda: stream.normals((3, 2)), lambda: stream.uniforms(5)):
+    calls = [("normals", 6), ("normals", (4, 3)), ("uniforms", 8), ("normals", (2, 10, 3))]
+    drawn = []
+    for kind, shape in calls:
+        got = getattr(stream, kind)(shape)
+        want = getattr(fresh, kind)(shape)
+        # a draw passes through as the stream's own, and changing it in
+        # place afterwards leaves its kept reflection alone
+        assert got.tobytes() == want.tobytes()
+        drawn.append(want)
+        got *= 3.0
+    replay = _Replay(stream.reflections)
+    for (kind, shape), want in zip(calls, drawn):
+        got = getattr(replay, kind)(shape)
+        if kind == "normals":
+            assert got.tobytes() == (-want).tobytes()
+        else:
+            np.testing.assert_array_equal(got, 1.0 - want)
+    replay.close()
+
+
+def test_replay_refuses_calls_that_differ():
+    def replay():
+        stream = _Reflecting(RandomStream(5))
+        stream.normals((4, 3))
+        stream.uniforms(4)
+        return _Replay(stream.reflections)
+
+    for bad in (
+        lambda r: r.normals((3, 4)),  # another shape
+        lambda r: r.normals(12),  # the same count, laid out another way
+        lambda r: r.uniforms(12),  # another kind
+        lambda r: (r.normals((4, 3)), r.normals(4)),  # another kind second
+        lambda r: (r.normals((4, 3)), r.uniforms(4), r.uniforms(4)),  # one call too many
+        lambda r: (r.normals((4, 3)), r.close()),  # one call short
+    ):
         with pytest.raises(ValueError):
-            bad()
+            bad(replay())
 
 
 def test_reflected_uniforms_stay_below_one():
@@ -122,6 +143,6 @@ def test_reflected_uniforms_stay_below_one():
         def uniforms(self, n):
             return np.full(n, 2.0**-54)
 
-    u = _ReflectedStream(Clamped()).uniforms(2)
-    assert u[0] == 2.0**-54
-    assert u[1] == 1.0 - 2.0**-53
+    stream = _Reflecting(Clamped())
+    assert stream.uniforms(1)[0] == 2.0**-54
+    assert _Replay(stream.reflections).uniforms(1)[0] == 1.0 - 2.0**-53

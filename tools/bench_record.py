@@ -20,8 +20,11 @@ enters it, for the spread of its estimates against its median reported
 error. Last, it runs each checkout once with ``--trace 1`` on
 TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's and the
 EVPI's times, and the count of EVPI blocks handed off to the pool, read
-from the spans of the last traced call (see ``evpi_timeline``). Both checkouts run on the
-same machine, one process at a time; the machine record of every run is in
+from the spans of the last traced call (see ``evpi_timeline``). Finally it
+runs each command of SAME_BYTES_COMMANDS on both checkouts at 1, 2 and 3
+threads and records the sha256 of every output file, with a
+``same_bytes`` flag per command and one for the whole list. Both
+checkouts run on the same machine, one process at a time; the machine record of every run is in
 its report line. Only the standard library is used; each checkout needs
 its own ``src/voimc``.
 """
@@ -29,11 +32,13 @@ its own ``src/voimc``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("synth1-run", "bkoc-evppi", "synth2-levels")
@@ -78,6 +83,19 @@ print(json.dumps([[e.value, e.std_error] for e in estimates]))
 
 # The traced record: one ``--trace 1`` run per checkout of this workload.
 TRACE_WORKLOAD = "bkoc-evppi"
+
+# The same-bytes record: the three workloads' CLI calls (perfbench/run.py,
+# without their --threads) and an EVPPI call whose EVPI outlasts the driver,
+# so that its blocks are handed off to the pool. Each runs at every count of
+# SAME_BYTES_THREADS.
+SAME_BYTES_COMMANDS = (
+    ("run", "--model", "synthetic1", "--epsilon", "0.0008", "--seed", "7"),
+    ("evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "6", "--seed", "1"),
+    ("levels", "--model", "synthetic2", "--max-level", "12", "--n", "2000", "--seed", "1"),
+    ("evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--seed", "1",
+     "--n", "2000000"),
+)
+SAME_BYTES_THREADS = (1, 2, 3)
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -172,6 +190,43 @@ def trace_once(tree: Path, seconds: float) -> dict:
         "failed": metrics["failed"],
         "metrics": {name: m["value"] for name, m in metrics["metrics"].items()},
         "last_traced_call": evpi_timeline(spans),
+    }
+
+
+def output_digests(tree: Path) -> list[dict]:
+    """Per command of SAME_BYTES_COMMANDS, the sha256 of its output file at
+    each thread count, run from the checkout's own source."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    digests = []
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out"
+        for argv in SAME_BYTES_COMMANDS:
+            by_threads = {}
+            for threads in SAME_BYTES_THREADS:
+                subprocess.run(
+                    [sys.executable, "-m", "voimc.cli", *argv, "--threads", str(threads),
+                     "--output", str(out)],
+                    env=env, cwd=scratch, capture_output=True, check=True,
+                )
+                by_threads[str(threads)] = hashlib.sha256(out.read_bytes()).hexdigest()
+            digests.append(by_threads)
+    return digests
+
+
+def same_bytes(trees: dict) -> dict:
+    """Whether every command writes the same bytes on both checkouts at
+    every thread count, with the digests behind each answer."""
+    digests = {side: output_digests(tree) for side, tree in trees.items()}
+    commands = []
+    for k, argv in enumerate(SAME_BYTES_COMMANDS):
+        sha256 = {side: digests[side][k] for side in trees}
+        same = len({h for by_threads in sha256.values() for h in by_threads.values()}) == 1
+        commands.append({"argv": list(argv), "same_bytes": same, "sha256": sha256})
+        print("same bytes" if same else "BYTES DIFFER", *argv, file=sys.stderr)
+    return {
+        "threads": list(SAME_BYTES_THREADS),
+        "same_bytes": all(c["same_bytes"] for c in commands),
+        "commands": commands,
     }
 
 
@@ -270,6 +325,7 @@ def main(argv=None) -> int:
             side: evpi_over_seeds(tree) for side, tree in trees.items()
         },
         "trace": {side: trace_once(tree, args.seconds) for side, tree in trees.items()},
+        "same_bytes": same_bytes(trees),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

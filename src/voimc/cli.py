@@ -39,6 +39,9 @@ SCHEMA_VERSION = "1"
 
 OUTPUT_DIR_ENV = "VOIMC_OUTPUT_DIR"
 
+# --threads is refused above this many workers per CPU the process may run on.
+THREADS_PER_CPU = 4
+
 _LEVEL_COLUMNS = ("level", "n", "mean_z", "var_z", "kurtosis_z", "mean_p", "var_p", "cost")
 _COMPARE_COLUMNS = ("epsilon", "mlmc_cost", "std_cost_model", "ratio")
 _EVPPI_COLUMNS = (
@@ -74,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads for sampling; never affects the output bytes",
+            help=f"worker threads for sampling, at most {THREADS_PER_CPU} per CPU; "
+            "never affects the output bytes",
         )
         p.add_argument(
             "--output",
@@ -229,6 +233,16 @@ def _positive(value: int, flag: str) -> int:
     if value < 1:
         raise ConfigError(f"{flag} must be positive")
     return int(value)
+
+
+def _threads(value: int) -> int:
+    """A worker count from 1 to THREADS_PER_CPU per CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    limit = THREADS_PER_CPU * (cpus or 1)
+    threads = _positive(value, "--threads")
+    if threads > limit:
+        raise ConfigError(f"--threads must be at most {limit} ({THREADS_PER_CPU} per CPU)")
+    return threads
 
 
 def _outer_list(model: DecisionModel) -> list[int] | None:
@@ -427,7 +441,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     command, default_format = _COMMANDS[args.command]
     fmt = args.format or default_format
     try:
-        _positive(args.threads, "--threads")
+        threads = _threads(args.threads)
         # Refused before any sampling, so that exit 3 writes no file.
         if getattr(args, "emit_plot_script", False) and (
             fmt == "json" or Path(args.output or "").suffix == ".json"
@@ -435,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--emit-plot-script needs the csv format")
         model = _build_model(args)
         path = _output_path(args, f"voimc_{args.command}_{_model_label(args)}.{fmt}")
-        with worker_pool(args.threads) as pool:
+        with worker_pool(threads) as pool:
             output = command(args, model, pool)
         return _write_output(args, model, fmt, path, **output)
     except (VoimcError, OSError) as exc:  # OSError: a path the filesystem refuses

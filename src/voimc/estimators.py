@@ -20,7 +20,7 @@ telescopes to the target.
 The kernels keep two bitwise invariants, not just approximate ones:
 
 * P_l >= 0 and p_fine >= 0 for every draw. The pathwise best payoff is
-  stored as an extra decision plane of the block buffer before the
+  stored as an extra decision plane of the chunk buffer before the
   inner-axis reduction, so every plane is summed by the identical reduction
   tree and floating-point monotonicity carries the ordering through to the
   averages.
@@ -28,14 +28,22 @@ The kernels keep two bitwise invariants, not just approximate ones:
   averages are formed from half sums and recombined by exact power-of-two
   scalings.
 
-A block is one (m, D+1, n) buffer: inner draw, decision plane, outer draw.
-The models write their payoffs straight into the first D planes. The inner
-axis is always reduced as the outermost axis of that buffer, so numpy adds
-whole (D+1, n) rows one inner draw at a time and every sum runs in draw
-order, for any n. Never reduce a contiguous last axis, and never an (m, 1)
-array or the middle axis of a (D+1, m, 1) one: numpy sums those pairwise,
-which breaks the bitwise identities at n = 1 (deep levels, and the ragged
-last block of a top-up) and changes the output bits.
+A block is walked in chunks (_inner_sums): one sample_outer call, then
+sample_inner on consecutive slices of c outer draws, each chunk paid off
+into a view of one (m, D+1, c) buffer reused across the block: inner draw,
+decision plane, outer draw. The models write their payoffs straight into
+the first D planes of that view, and each chunk is reduced where it is
+made, so a worker holds about _CHUNK_VALUE_BUDGET payoff values of a block
+at a time (at least _CHUNK_MIN_DRAWS outer draws), never the whole block.
+The inner axis is always reduced as the outermost axis of the buffer, so
+numpy adds whole (D+1, c) rows one inner draw at a time and every sum runs
+in draw order, for any c. A one-draw block too wide for the block budget is
+walked along its inner axis instead, and each sum is carried from slice to
+slice, still one inner draw at a time. So the chunking never changes a
+bit. Never reduce a contiguous last axis, and never an (m, 1) array or the
+middle axis of a (D+1, m, 1) one: numpy sums those pairwise, which breaks
+the bitwise identities at c = 1 (deep levels, and the ragged last chunk of
+a block) and changes the output bits.
 
 The EVPI, E[max_d f_d] - max_d E[f_d], is plain Monte Carlo over joint
 draws (m = 1) in antithetic pairs, whatever the layout of a model's draws:
@@ -72,6 +80,16 @@ from .streams import RandomStream, VariateSource, _Reflecting, _Replay
 # on the model's dimensions and the inner count, never on worker count.
 _BLOCK_VALUE_BUDGET = 1 << 20
 
+# Chunk sizing: a block is walked in chunks of about this many payoff values,
+# so a worker's working set stays the same at every level and for any block
+# size, and the output bits do not depend on it.
+_CHUNK_VALUE_BUDGET = 1 << 16
+
+# ...but an outer chunk keeps at least this many draws while its block holds
+# more: the inner-axis sums add rows of (D+1) values per draw, and much
+# shorter rows leave them bound by the cost of each row.
+_CHUNK_MIN_DRAWS = 64
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -82,20 +100,20 @@ class Estimate:
     n: int
 
 
-def _payoffs_with_best(
-    model: DecisionModel, m: int, n: int, stream: VariateSource
-) -> np.ndarray:
-    """Payoff block of shape (m, D+1, n): one (m, n) plane per decision, and
-    a last plane holding the pathwise best payoff, so one reduction call
-    covers every plane. The model writes its planes straight into the block.
+def _width(model: DecisionModel) -> int:
+    """Values a block holds per inner draw of one outer draw: the D+1
+    payoff planes and the inner vector."""
+    return model.decision_count + 1 + max(model.inner_dim, 1)
 
-    With the inner index outermost, a sum over axis 0 adds whole (D+1, n)
-    rows in draw order, one vectorized pass per inner draw."""
-    x = model.sample_outer(stream, n)
-    y = model.sample_inner(x, stream, m)
+
+def _fill_best(
+    model: DecisionModel, outer: np.ndarray, inner: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Fill the (k, D+1, c) chunk ``g`` of k inner draws of c outer draws:
+    the model writes its payoffs straight into the first D planes, and the
+    last plane gets the pathwise best payoff."""
     d = model.decision_count
-    g = np.empty((m, d + 1, n))
-    model.payoffs(x, y, out=g[:, :d, :].transpose(2, 0, 1))
+    model.payoffs(outer, inner, out=g[:, :d, :].transpose(2, 0, 1))
     best = g[:, d, :]
     if d == 1:
         best[...] = g[:, 0, :]
@@ -104,6 +122,47 @@ def _payoffs_with_best(
     for k in range(2, d):
         np.maximum(best, g[:, k, :], out=best)
     return g
+
+
+def _inner_sums(model: DecisionModel, m: int, n: int, stream: VariateSource, parts: int):
+    """Walk one block of n outer draws with m inner draws each in stream
+    order, and yield ``(cols, sums)`` per chunk of outer draws ``cols``:
+    ``sums[k]`` is the (D+1, c) sum of their payoff planes over the k-th of
+    ``parts`` equal runs of the inner axis, added one inner draw at a time.
+
+    The block makes one ``sample_outer`` call, then one ``sample_inner``
+    call per chunk, on consecutive slices of the outer draws: at least
+    _CHUNK_MIN_DRAWS of them, or about _CHUNK_VALUE_BUDGET values. A
+    one-draw block wider than _BLOCK_VALUE_BUDGET is walked along its inner
+    axis instead, in power-of-two slices that never cross a run; each slice
+    after the first of its run follows the run's sum in a spare leading row
+    of the chunk buffer, so the sum goes on row by row from where it was."""
+    x = model.sample_outer(stream, n)
+    d = model.decision_count
+    run = m // parts
+    if m * _width(model) > _BLOCK_VALUE_BUDGET:  # a one-draw block
+        step = 1 << ((_CHUNK_VALUE_BUDGET // _width(model)).bit_length() - 1)
+        buf = np.empty((step + 1, d + 1, 1))
+        sums, lo = [], 0
+        while lo < m:
+            k = min(step, run - lo % run)
+            g = _fill_best(model, x, model.sample_inner(x, stream, k), buf[1 : k + 1])
+            if lo % run == 0:
+                sums.append(g.sum(axis=0))
+            else:
+                buf[0] = sums[-1]
+                sums[-1] = buf[: k + 1].sum(axis=0)
+            lo += k
+        yield slice(0, 1), sums
+        return
+    rows = max(_CHUNK_MIN_DRAWS, _CHUNK_VALUE_BUDGET // (m * _width(model)))
+    flat = np.empty(m * (d + 1) * min(rows, n))
+    for start in range(0, n, rows):
+        cols = slice(start, min(start + rows, n))
+        xs = x[cols]
+        g = flat[: m * (d + 1) * len(xs)].reshape(m, d + 1, len(xs))
+        _fill_best(model, xs, model.sample_inner(xs, stream, m), g)
+        yield cols, [g[k * run : (k + 1) * run].sum(axis=0) for k in range(parts)]
 
 
 def _decision_max(sums: np.ndarray) -> np.ndarray:
@@ -115,35 +174,39 @@ def _level_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     """One block of level draws with m = 2^level inner samples: returns
     (z, p_fine) arrays of length n."""
     half = m // 2
-    g = _payoffs_with_best(model, m, n, stream)
-    ga = g[:half].sum(axis=0)
-    gb = g[half:].sum(axis=0)
-    sums = ga + gb
-    full_best = _decision_max(sums) / m
-    z = 0.5 * (_decision_max(ga) / half + _decision_max(gb) / half) - full_best
-    p = sums[-1] / m - full_best
+    z, p = np.empty(n), np.empty(n)
+    for cols, (ga, gb) in _inner_sums(model, m, n, stream, 2):
+        sums = ga + gb
+        full_best = _decision_max(sums) / m
+        z[cols] = 0.5 * (_decision_max(ga) / half + _decision_max(gb) / half) - full_best
+        p[cols] = sums[-1] / m - full_best
     return z, p
 
 
 def _p_block(model: DecisionModel, m: int, n: int, stream: RandomStream) -> np.ndarray:
     """One block of gap draws over m inner samples; m = 1 gives exact zeros."""
-    sums = _payoffs_with_best(model, m, n, stream).sum(axis=0)
-    return sums[-1] / m - _decision_max(sums) / m
+    p = np.empty(n)
+    for cols, (sums,) in _inner_sums(model, m, n, stream, 1):
+        p[cols] = sums[-1] / m - _decision_max(sums) / m
+    return p
 
 
 def _regret_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     """One block of n joint draws (m = 1) in n/2 antithetic pairs, reduced
     where it runs: per decision d, the moments of the pair-averaged regret
     max_d' f_d' - f_d. The model draws n/2 fresh joint draws through a
-    :class:`_Reflecting` stream, then makes the same calls on a
-    :class:`_Replay` of their reflections: partner j reflects draw j."""
+    :class:`_Reflecting` stream, and makes the same calls on a
+    :class:`_Replay` of their reflections, chunk by chunk in step: partner
+    j reflects draw j."""
     fresh = _Reflecting(stream)
-    g = _payoffs_with_best(model, m, n // 2, fresh)[0]
     replay = _Replay(fresh.reflections)
-    partner = _payoffs_with_best(model, m, n // 2, replay)[0]
+    pairs = np.empty((model.decision_count, n // 2))
+    for (cols, (g,)), (_, (partner,)) in zip(
+        _inner_sums(model, m, n // 2, fresh, 1), _inner_sums(model, m, n // 2, replay, 1)
+    ):
+        regret = np.subtract(g[-1], g[:-1], out=pairs[:, cols])
+        regret += np.subtract(partner[-1], partner[:-1], out=partner[:-1])
     replay.close()
-    pairs = np.subtract(g[-1], g[:-1], out=g[:-1])
-    pairs += np.subtract(partner[-1], partner[:-1], out=partner[:-1])
     pairs *= 0.5
     accs = [MomentAccumulator() for _ in range(model.decision_count)]
     for acc, row in zip(accs, pairs):
@@ -166,8 +229,7 @@ def worker_pool(threads: int):
 def _block_size(model: DecisionModel, m: int, unit: int = 1) -> int:
     """Outer draws in a full block with m inner draws each: a whole number
     of ``unit`` draws, set by the model's dimensions and m alone."""
-    width = m * (model.decision_count + 1 + max(model.inner_dim, 1))
-    return max(unit, _BLOCK_VALUE_BUDGET // width // unit * unit)
+    return max(unit, _BLOCK_VALUE_BUDGET // (m * _width(model)) // unit * unit)
 
 
 def _blocks(
@@ -285,40 +347,60 @@ def _evpi_ahead(
     outright yields.
 
     The blocks split into a prefix and a suffix. With a pool, one task on
-    it draws the pilot, if any, and then the blocks in block order, so the
-    EVPI runs beside whatever else the pool is given; what it has drawn is
-    always a prefix. The finishing call stops it, takes its prefix (waiting
-    at most for the block it holds), maps the suffix over the pool through
-    the one block map, and folds prefix and suffix in block order. The
-    EVPI's blocks never run on the caller's thread then. Without a pool
+    it draws the pilot, if any, and then claims blocks in block order under
+    a lock, so the EVPI runs beside whatever else the pool is given; what
+    it has claimed is always a prefix. The finishing call stops the claims,
+    maps the blocks after them over the pool through the one block map at
+    once, and only then waits for the prefix, so no worker idles on the
+    block the task holds; only a pilot still running is waited for first,
+    since it sizes the blocks. It folds prefix and suffix in block order.
+    The EVPI's blocks never run on the caller's thread then. Without a pool
     nothing starts: the finishing call draws the pilot, if any, and then
     the suffix on the caller's thread. The fold is the same either way, so
     the estimate is too. Leaving the ``with`` block, by an error say, stops
-    the task too; it ends after the block it holds, and no other is drawn."""
-    planned = None if n is None else _evpi_blocks(model, n, stream)
+    the claims too; the task ends after the block it holds."""
     stop = threading.Event()
+    lock = threading.Lock()
+    blocks, claimed = (None if n is None else _evpi_blocks(model, n, stream)), 0
+
+    def claim():
+        """The next block in order, or None once stopped or done."""
+        nonlocal claimed
+        with lock:
+            if stop.is_set() or claimed == len(blocks):
+                return None
+            claimed += 1
+            return blocks[claimed - 1]
 
     def draw_prefix():
-        if planned is None:
+        nonlocal blocks, claimed
+        drawn = []
+        if blocks is None:
             first = _block_size(model, 1, unit=2)
-            drawn = [_run_block(_evpi_blocks(model, first, stream)[0])]
+            drawn.append(_run_block(_evpi_blocks(model, first, stream)[0]))
             v = min(drawn[0], key=lambda acc: acc.mean).variance()
-            blocks = _evpi_blocks(model, max(first, 2 * math.ceil(4.0 * v / epsilon**2)), stream)
-        else:
-            blocks, drawn = planned, []
-        for block in blocks[len(drawn) :]:
-            if stop.is_set():
-                break
+            sized = _evpi_blocks(model, max(first, 2 * math.ceil(4.0 * v / epsilon**2)), stream)
+            with lock:
+                blocks, claimed = sized, 1
+        while (block := claim()) is not None:
             drawn.append(_run_block(block))
-        return blocks, drawn
+        return drawn
 
     task = None if pool is None else pool.submit(draw_prefix)
 
     def finish() -> Estimate:
-        stop.set()
-        blocks, drawn = draw_prefix() if task is None else task.result()
-        suffix = _map_blocks(blocks[len(drawn) :], pool)
-        return _fold_regrets(model, itertools.chain(drawn, suffix))
+        with lock:
+            stop.set()
+            sized = blocks is not None
+        # No block is claimed once stopped, so blocks[claimed:] is the suffix.
+        if task is None or not sized:
+            # the pilot sizes the blocks: draw it, or wait for the task drawing it
+            prefix = draw_prefix() if task is None else task.result()
+            suffix = _map_blocks(blocks[claimed:], pool)
+        else:
+            suffix = _map_blocks(blocks[claimed:], pool)
+            prefix = task.result()
+        return _fold_regrets(model, itertools.chain(prefix, suffix))
 
     try:
         yield finish

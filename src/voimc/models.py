@@ -39,7 +39,10 @@ class DecisionModel(ABC):
     ``sample_outer`` and ``sample_inner`` draw only through the
     ``normals`` and ``uniforms`` of the stream they receive, and make the
     same calls for the same n and m. The EVPI replays a block's calls to
-    draw their reflections, and raises ``ValueError`` if they differ.
+    draw their reflections, and raises ``ValueError`` if they differ. A
+    block calls ``sample_outer`` once and ``sample_inner`` on consecutive
+    row slices of its outer draws, or at deep levels on consecutive slices
+    of its inner axis, in stream order.
     """
 
     name: str
@@ -64,9 +67,10 @@ class DecisionModel(ABC):
         The result is stored as decision planes: each ``out[:, :, d].T`` is
         one C-contiguous (m, n) plane, inner draw first. When ``out`` is None
         a fresh ``np.empty((m, decision_count, n)).transpose(2, 0, 1)`` is
-        filled; otherwise ``out`` must be a view of that kind (for instance
-        the first planes of a larger block buffer), and it is filled and
-        returned.
+        filled; otherwise ``out`` must be a view of that kind, and it is
+        filled and returned. The estimators pass a view of the first planes
+        of one chunk of a block: the n outer draws of a slice of the block's
+        draws, or, at deep levels, m draws of a slice of its inner axis.
         """
 
     def conditional_means(self, outer: np.ndarray) -> np.ndarray:

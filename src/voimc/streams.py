@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Protocol
 
 import numpy as np
@@ -95,13 +96,15 @@ class _Reflecting:
     and u -> min(1 - u, _MAX_UNIFORM) of uniforms. The reflection is taken
     at the call, before the model may change the draw in place. A
     :class:`_Replay` of ``reflections`` then hands the model its draws'
-    antithetic partners; each member of a pair has the stream's law."""
+    antithetic partners; each member of a pair has the stream's law. The
+    replay takes each reflection off the queue as it answers, so calls may
+    alternate: a reflection is kept only until its partner call."""
 
     __slots__ = ("_stream", "reflections")
 
     def __init__(self, stream: RandomStream):
         self._stream = stream
-        self.reflections: list[tuple[str, np.ndarray]] = []
+        self.reflections: deque[tuple[str, np.ndarray]] = deque()
 
     def uniforms(self, n: int) -> np.ndarray:
         u = self._stream.uniforms(n)
@@ -115,19 +118,20 @@ class _Reflecting:
 
 
 class _Replay:
-    """Stand-in that answers each call with the next kept reflection. A call
-    that differs from the recorded one, or comes after the last, raises
-    ``ValueError``, as does :meth:`close` while recorded calls are left."""
+    """Stand-in that answers each call with the oldest kept reflection, and
+    drops it from ``reflections``. A call that differs from the recorded
+    one, or comes after the last, raises ``ValueError``, as does
+    :meth:`close` while recorded calls are left."""
 
     __slots__ = ("_kept",)
 
-    def __init__(self, reflections: list[tuple[str, np.ndarray]]):
-        self._kept = reflections[::-1]
+    def __init__(self, reflections: deque[tuple[str, np.ndarray]]):
+        self._kept = reflections
 
     def _next(self, kind: str, shape: tuple[int, ...]) -> np.ndarray:
-        if not self._kept or self._kept[-1][0] != kind or self._kept[-1][1].shape != shape:
+        if not self._kept or self._kept[0][0] != kind or self._kept[0][1].shape != shape:
             raise ValueError(f"a replayed {kind}{shape} call differs from the recorded draws")
-        return self._kept.pop()[1]
+        return self._kept.popleft()[1]
 
     def uniforms(self, n: int) -> np.ndarray:
         return self._next("uniforms", (int(n),))

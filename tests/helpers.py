@@ -5,7 +5,7 @@ go through the block map of :mod:`voimc.estimators`, on the same blocks and
 substreams as the driver and the reports, so their bits are the library's;
 the cost projection is built on the driver's public arithmetic. The
 antithetic half averages are an independent replay of the level kernel's
-reductions.
+reductions, and the whole-block kernels a reference for its chunk walk.
 """
 
 import dataclasses
@@ -117,3 +117,34 @@ def antithetic_terms(f):
     sum_a = f[:, :half, :].sum(axis=1)
     sum_b = f[:, half:, :].sum(axis=1)
     return sum_a / half, sum_b / half, (sum_a + sum_b) / m
+
+
+def whole_level_block(model, level, n, stream):
+    """(z, p_fine, g) of one level block drawn and reduced whole: one
+    ``sample_outer`` call, one ``sample_inner`` call for all n outer draws,
+    the payoffs written into the first D planes of the (m, D+1, n) block
+    ``g`` and the pathwise best into the last, and half sums that add whole
+    (D+1, n) rows one inner draw at a time. The level kernel walks the same
+    draws in chunks."""
+    m = 1 << level
+    half = m // 2
+    x = model.sample_outer(stream, n)
+    y = model.sample_inner(x, stream, m)
+    d = model.decision_count
+    g = np.empty((m, d + 1, n))
+    model.payoffs(x, y, out=g[:, :d, :].transpose(2, 0, 1))
+    best = g[:, d, :]
+    if d == 1:
+        best[...] = g[:, 0, :]
+    else:
+        np.maximum(g[:, 0, :], g[:, 1, :], out=best)
+    for k in range(2, d):
+        np.maximum(best, g[:, k, :], out=best)
+    ga = g[:half].sum(axis=0)
+    gb = g[half:].sum(axis=0)
+    sums = ga + gb
+    full_best = np.maximum.reduce(sums[:-1], axis=0) / m
+    z = 0.5 * (
+        np.maximum.reduce(ga[:-1], axis=0) / half + np.maximum.reduce(gb[:-1], axis=0) / half
+    ) - full_best
+    return z, sums[-1] / m - full_best, g

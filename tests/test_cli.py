@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import threading
 
 import pytest
 
-from voimc import estimators
+from voimc import cli, estimators
 from voimc.cli import main
 from voimc.models import BKOC_MEANS
 
@@ -256,6 +257,23 @@ def test_one_pool_per_run_and_no_thread_at_one_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for command in commands:
         assert run_cli(tmp_path, *command, "--threads", "1")[0] == 0
+
+
+def test_threads_above_the_cpu_limit_are_refused(tmp_path, capsys):
+    # refused with the other argument checks, before the pool opens: a
+    # command this small would start only a few threads even unchecked
+    limit = cli.THREADS_PER_CPU * len(os.sched_getaffinity(0))
+    command = ["levels", "--model", "synthetic1", "--max-level", "3", "--n", "1000"]
+    for threads in (limit + 1, 100_000):
+        before = threading.active_count()
+        code, out = run_cli(tmp_path, *command, "--threads", str(threads))
+        assert code == 3
+        assert threading.active_count() == before
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "config" and "--threads" in err[0]
+    assert run_cli(tmp_path, *command, "--threads", str(limit))[0] == 0
 
 
 def test_run_csv_round_trips(tmp_path):

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from voimc.estimators import (
 )
 from voimc.models import GaussianModelSpec
 
-from helpers import antithetic_terms, evpi_mc, nested_mc, sample_level_batch
+from helpers import (
+    antithetic_terms,
+    evpi_mc,
+    nested_mc,
+    sample_level_batch,
+    whole_level_block,
+)
 
 ALL_MODELS = [synthetic1(), synthetic2(), synthetic3(), BkocModel()]
 MODEL_IDS = [m.name for m in ALL_MODELS]
@@ -598,3 +605,128 @@ def kernel_digests(model):
 def test_raw_kernel_bits_are_pinned(name):
     # levels 0-10 at block sizes 1, 2, 3, full and full + 1
     assert kernel_digests(KERNEL_MODELS[name]()) == KERNEL_DIGESTS[name]
+
+
+def chunk_rows(model, m):
+    """Outer draws in one chunk of the kernel's walk at m inner draws."""
+    width = m * estimators._width(model)
+    return max(estimators._CHUNK_MIN_DRAWS, estimators._CHUNK_VALUE_BUDGET // width)
+
+
+def assert_matches_whole_block(model, level, n, stream):
+    """Both chunked kernels against the whole-block reference on the draws
+    of ``stream``, bit for bit, with the exact identities; returns the
+    agreements."""
+
+    def stream_of():
+        return RandomStream(stream.seed, stream.path)
+
+    m = 1 << level
+    z, p = estimators._level_block(model, m, n, stream_of())
+    want_z, want_p, g = whole_level_block(model, level, n, stream_of())
+    assert z.tobytes() == want_z.tobytes(), (model.name, level, n)
+    assert p.tobytes() == want_p.tobytes(), (model.name, level, n)
+    sums = g.sum(axis=0)
+    want_gap = sums[-1] / m - np.maximum.reduce(sums[:-1], axis=0) / m
+    assert estimators._p_block(model, m, n, stream_of()).tobytes() == want_gap.tobytes()
+    return assert_exact_identities(z, p, g[:, :-1, :].transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_chunked_level_blocks_match_the_whole_block(name):
+    # one chunk, one chunk and a ragged chunk of one draw, the 64-draw
+    # floor and one full block, at every level the digests pin
+    model = KERNEL_MODELS[name]()
+    agreements = 0
+    for level in range(1, 11):
+        m = 1 << level
+        rows = chunk_rows(model, m)
+        sizes = {rows, rows + 1, estimators._CHUNK_MIN_DRAWS, full_block(model, m)}
+        for n in sorted(sizes):
+            sub = RandomStream(level).split(n)
+            agreements += assert_matches_whole_block(model, level, n, sub)
+    assert agreements > 0
+
+
+@pytest.mark.parametrize("name, level", [("bkoc_5_14", 17), ("bkoc_3", 17), ("synthetic1", 19)])
+def test_streamed_one_draw_blocks_match_the_whole_block(name, level):
+    # a one-draw block wider than the block budget walks its inner axis in
+    # power-of-two slices, at least two per half, that meet at the half
+    model = KERNEL_MODELS[name]()
+    m = 1 << level
+    sizes, sample_inner = [], model.sample_inner
+
+    def recorded(outer, stream, k):
+        sizes.append(k)
+        return sample_inner(outer, stream, k)
+
+    model.sample_inner = recorded
+    estimators._level_block(model, m, 1, RandomStream(60))
+    assert sum(sizes) == m and len(set(sizes)) == 1 and sizes[0] & (sizes[0] - 1) == 0
+    assert m // 2 >= 2 * sizes[0]
+    model.sample_inner = sample_inner
+    for b in range(2):
+        assert_matches_whole_block(model, level, 1, RandomStream(60).split(b))
+
+
+def peak_mb(run):
+    """Peak of the memory traced while ``run()`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_working_set_is_bounded():
+    # one full block, walked in chunks, at shallow levels; a whole-block
+    # kernel held 15.3-15.6 MB for bkoc, 18.0 MB for synthetic1 at level 1
+    bkoc = BkocModel()
+    for model in (bkoc, synthetic1()):
+        for level in range(1, 9):
+            n = full_block(model, 1 << level)
+
+            def run():
+                acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+                accumulate_level(model, level, n, RandomStream(level), acc_z, acc_p)
+
+            peak = peak_mb(run)
+            assert peak < 6.0, (model.name, level, peak)
+    # one full EVPI block of pairs, held whole at 11.8 MB
+    assert peak_mb(lambda: evpi_mc(bkoc, full_block(bkoc, 1), RandomStream(1))) < 8.0
+    # a one-draw block at level 20, streamed along its inner axis
+    acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+    assert peak_mb(lambda: accumulate_level(bkoc, 20, 1, RandomStream(2), acc_z, acc_p)) < 32.0
+    assert acc_z.n == 1 and acc_p.mean >= acc_z.mean >= 0.0
+
+
+def test_evpi_handoff_maps_the_suffix_before_waiting(monkeypatch):
+    # The task holds block 0 when the finishing call stops it. Block 0 then
+    # waits for block 1, the first of the suffix, to start on the other
+    # worker: it finds it started only if the suffix is mapped before the
+    # finishing call waits for the prefix.
+    monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 64)  # 16 draws a block
+    model, n = synthetic1(), 160
+    want = evpi_mc(model, n, RandomStream(43))
+    holding, suffix_started = threading.Event(), threading.Event()
+    found = []
+    regret_block = estimators._regret_block
+
+    def gated(model, m, size, stream):
+        if stream.path[-1] == 0:
+            holding.set()
+            found.append(suffix_started.wait(timeout=10))
+        elif stream.path[-1] == 1:
+            suffix_started.set()
+        return regret_block(model, m, size, stream)
+
+    monkeypatch.setattr(estimators, "_regret_block", gated)
+    with worker_pool(2) as pool:
+        with estimators._evpi_ahead(model, n, RandomStream(43), pool) as finish:
+            assert holding.wait(timeout=10)
+            got = finish()
+    assert found == [True]
+    assert got == want

@@ -20,7 +20,11 @@ enters it, for the spread of its estimates against its median reported
 error. Last, it runs each checkout once with ``--trace 1`` on
 TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's and the
 EVPI's times, and the count of EVPI blocks handed off to the pool, read
-from the spans of the last traced call (see ``evpi_timeline``). Finally it
+from the spans of the last traced call (see ``evpi_timeline``). Before
+that it records the ``tracemalloc`` peak of one full block per level of
+MEMORY_LEVELS for each of MEMORY_MODELS, and of one full EVPI block, each
+in its own process (see ``block_memory``), beside the end-to-end
+``peak_rss_mb`` of the pairs. Finally it
 runs each command of SAME_BYTES_COMMANDS on both checkouts at 1, 2 and 3
 threads and records the sha256 of every output file, with a
 ``same_bytes`` flag per command and one for the whole list. Both
@@ -78,6 +82,29 @@ for seed in range(1, seeds + 1):
     with _evpi_ahead(model, n, RandomStream(seed)) as finish:
         estimates.append(finish())
 print(json.dumps([[e.value, e.std_error] for e in estimates]))
+"""
+
+
+# The block-memory record: the tracemalloc peak, in MB, of one full level
+# block through the public ``accumulate_level`` at each of MEMORY_LEVELS for
+# each model, and of one full EVPI block, each in its own subprocess.
+MEMORY_MODELS = {"bkoc (5,14)": ("bkoc", (5, 14)), "synthetic1": ("synthetic1", None)}
+MEMORY_LEVELS = range(1, 17)
+
+MEMORY_CODE = """\
+import json, sys, tracemalloc
+from voimc import MomentAccumulator, RandomStream, make_model
+from voimc.estimators import _block_size, _evpi_ahead, accumulate_level
+name, outer, level = json.loads(sys.argv[1])
+model = make_model(name, outer=tuple(outer) if outer else None)
+tracemalloc.start()
+if level is None:
+    with _evpi_ahead(model, _block_size(model, 1, unit=2), RandomStream(1)) as finish:
+        finish()
+else:
+    n = _block_size(model, 1 << level)
+    accumulate_level(model, level, n, RandomStream(1), MomentAccumulator(), MomentAccumulator())
+print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
 
@@ -150,6 +177,27 @@ def evpi_over_seeds(tree: Path) -> dict:
         "median_reported_error": median_error,
         "spread_over_reported": spread / median_error,
     }
+
+
+def block_memory(tree: Path) -> dict:
+    """The tracemalloc peak (MB) of one full block per level and model, and
+    of one full EVPI block of the first model, each in a fresh process."""
+
+    def peak(name, outer, level):
+        done = subprocess.run(
+            [sys.executable, "-c", MEMORY_CODE, json.dumps([name, outer, level])],
+            env=dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, check=True,
+        )
+        return float(done.stdout)
+
+    record = {
+        label: {str(level): peak(name, outer, level) for level in MEMORY_LEVELS}
+        for label, (name, outer) in MEMORY_MODELS.items()
+    }
+    label, (name, outer) = next(iter(MEMORY_MODELS.items()))
+    record[f"evpi {label}"] = peak(name, outer, None)
+    return record
 
 
 def evpi_timeline(spans: list[dict]) -> dict:
@@ -324,6 +372,7 @@ def main(argv=None) -> int:
         "evpi_over_seeds": {
             side: evpi_over_seeds(tree) for side, tree in trees.items()
         },
+        "block_memory_mb": {side: block_memory(tree) for side, tree in trees.items()},
         "trace": {side: trace_once(tree, args.seconds) for side, tree in trees.items()},
         "same_bytes": same_bytes(trees),
     }

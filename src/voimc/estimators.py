@@ -49,8 +49,8 @@ The EVPI, E[max_d f_d] - max_d E[f_d], is plain Monte Carlo over joint
 draws (m = 1) in antithetic pairs, whatever the layout of a model's draws:
 a block draws half its draws fresh and replays the same calls reflected
 (_regret_block). The estimate is the least mean regret (_fold_regrets),
-and its blocks run like every other, beside a driver if need be
-(_evpi_ahead).
+and its blocks run like every other: one at a time in a driver's passes,
+and the rest through the block map at the end (_Evpi).
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -327,82 +326,43 @@ def _fold_regrets(model: DecisionModel, results) -> Estimate:
     return Estimate(value=best.mean, std_error=std_error, n=2 * best.n)
 
 
-@contextmanager
-def _evpi_ahead(
-    model: DecisionModel,
-    n: int | None,
-    stream: RandomStream,
-    pool: Executor | None = None,
-    epsilon: float | None = None,
-):
-    """Start the plain-MC EVPI of n joint draws in n/2 antithetic pairs,
-    each a draw and its reflection (see :func:`_regret_block`, n even); the
-    call the ``with`` block gets finishes it (see :func:`_fold_regrets`).
+class _Evpi:
+    """The plain-MC EVPI of n joint draws in n/2 antithetic pairs (n even;
+    see :func:`_regret_block`), drawn a block at a time by whoever carries
+    its blocks. With n None, block 0 is a pilot of the first block's size
+    B: with v its variance of the pair-averaged regret of its best
+    decision, n = max(B, 2 ceil(4 v / eps^2)), for a standard error of
+    about eps/2. Block 0 of n draws is the pilot, so the estimate is the
+    one that n given outright yields.
 
-    With n None, n is sized from ``epsilon`` by a pilot: block 0, of the
-    first block's size B. With v the pilot's variance of the pair-averaged
-    regret of its best decision, n = max(B, 2 ceil(4 v / eps^2)), so the
-    standard error comes to about eps/2. The blocks are then those of n
-    draws, whose block 0 is the pilot, so the estimate is the one n given
-    outright yields.
+    A carrier, such as a pass of the driver, maps the next block from
+    :meth:`carry` with its own and appends the results to ``results``;
+    :meth:`finish` maps the rest and folds all in block order."""
 
-    The blocks split into a prefix and a suffix. With a pool, one task on
-    it draws the pilot, if any, and then claims blocks in block order under
-    a lock, so the EVPI runs beside whatever else the pool is given; what
-    it has claimed is always a prefix. The finishing call stops the claims,
-    maps the blocks after them over the pool through the one block map at
-    once, and only then waits for the prefix, so no worker idles on the
-    block the task holds; only a pilot still running is waited for first,
-    since it sizes the blocks. It folds prefix and suffix in block order.
-    The EVPI's blocks never run on the caller's thread then. Without a pool
-    nothing starts: the finishing call draws the pilot, if any, and then
-    the suffix on the caller's thread. The fold is the same either way, so
-    the estimate is too. Leaving the ``with`` block, by an error say, stops
-    the claims too; the task ends after the block it holds."""
-    stop = threading.Event()
-    lock = threading.Lock()
-    blocks, claimed = (None if n is None else _evpi_blocks(model, n, stream)), 0
+    def __init__(self, model: DecisionModel, n: int | None, stream: RandomStream, epsilon=None):
+        self.model, self.stream, self.epsilon, self.sized = model, stream, epsilon, n is not None
+        self.blocks = _evpi_blocks(model, _block_size(model, 1, unit=2) if n is None else n, stream)
+        self.results = []  # the results of each carried block, in block order
 
-    def claim():
-        """The next block in order, or None once stopped or done."""
-        nonlocal claimed
-        with lock:
-            if stop.is_set() or claimed == len(blocks):
-                return None
-            claimed += 1
-            return blocks[claimed - 1]
+    def _left(self) -> list[tuple]:
+        """The blocks not carried yet, sized first on a carried pilot's result."""
+        if not self.sized and self.results:
+            pilot = next(self.results[0])
+            v = min(pilot, key=lambda acc: acc.mean).variance()
+            # eps * eps is inf for a huge eps, where eps**2 raises OverflowError
+            n = 2 * math.ceil(4.0 * v / (self.epsilon * self.epsilon))
+            n = max(_block_size(self.model, 1, unit=2), n)
+            self.blocks, self.sized = _evpi_blocks(self.model, n, self.stream), True
+            self.results = [[pilot]]
+        return self.blocks[len(self.results) :]
 
-    def draw_prefix():
-        nonlocal blocks, claimed
-        drawn = []
-        if blocks is None:
-            first = _block_size(model, 1, unit=2)
-            drawn.append(_run_block(_evpi_blocks(model, first, stream)[0]))
-            v = min(drawn[0], key=lambda acc: acc.mean).variance()
-            sized = _evpi_blocks(model, max(first, 2 * math.ceil(4.0 * v / epsilon**2)), stream)
-            with lock:
-                blocks, claimed = sized, 1
-        while (block := claim()) is not None:
-            drawn.append(_run_block(block))
-        return drawn
+    def carry(self) -> list[tuple]:
+        """The next block in order, as a list of one; empty once all are carried."""
+        return self._left()[:1]
 
-    task = None if pool is None else pool.submit(draw_prefix)
-
-    def finish() -> Estimate:
-        with lock:
-            stop.set()
-            sized = blocks is not None
-        # No block is claimed once stopped, so blocks[claimed:] is the suffix.
-        if task is None or not sized:
-            # the pilot sizes the blocks: draw it, or wait for the task drawing it
-            prefix = draw_prefix() if task is None else task.result()
-            suffix = _map_blocks(blocks[claimed:], pool)
-        else:
-            suffix = _map_blocks(blocks[claimed:], pool)
-            prefix = task.result()
-        return _fold_regrets(model, itertools.chain(prefix, suffix))
-
-    try:
-        yield finish
-    finally:
-        stop.set()
+    def finish(self, pool: Executor | None = None) -> Estimate:
+        """Map the blocks no one carried, then fold all in block order."""
+        if not self.sized and not self.results:
+            self.results.append(_map_blocks(self.carry(), pool))
+        rest = _map_blocks(self._left(), pool)
+        return _fold_regrets(self.model, itertools.chain(*self.results, rest))

@@ -22,8 +22,8 @@ pool, a pass puts the blocks of every level it tops up or adds on the pool
 at once, through the one block map of :mod:`voimc.estimators`, and then
 folds each level's blocks on the caller's thread, level by level and in
 block order. Without one, each block runs on the caller's thread as it is
-folded. The EVPI of an EVPPI report shares the pool, beside the driver
-(see :func:`voimc.estimators._evpi_ahead`).
+folded. An EVPPI report's EVPI rides the same passes, one block a pass
+after the level blocks (see :func:`evppi_report`).
 
 The reports built on the driver live here too: the multilevel cost
 against the modeled standard-MC cost from driver runs over several targets
@@ -48,7 +48,7 @@ from .diagnostics import (
     stats_from_accumulators,
 )
 from .errors import ConfigError, InsufficientDataError
-from .estimators import _evpi_ahead, _level_blocks, accumulate_level
+from .estimators import _Evpi, _level_blocks, _map_blocks, accumulate_level
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -203,10 +203,10 @@ class _LevelState:
 
 class _PassPool:
     """The pool a pass hands to :func:`accumulate_level`, one level at a
-    time. Its first map puts the blocks of every level of the pass on the
-    caller's pool at once. That map and each later one return the results
-    of the next ``len(blocks)`` of them, which are the asking level's own
-    blocks, because the levels ask in the order the pass lists them."""
+    time, and then to the EVPI's block. Its first map puts every block of
+    the pass on the caller's pool at once. That map and each later one
+    return the results of the next ``len(blocks)`` of them, which are the
+    asker's own blocks, because they ask in the order the pass lists them."""
 
     __slots__ = ("_pool", "_blocks", "_results")
 
@@ -226,6 +226,7 @@ def mlmc_run(
     config: MlmcConfig,
     stream: RandomStream,
     pool: Executor | None = None,
+    evpi: _Evpi | None = None,
 ) -> MlmcResult:
     """Run the adaptive multilevel estimator to the configured accuracy.
 
@@ -233,7 +234,8 @@ def mlmc_run(
     reached (or the loop safety valve tripped) before the bias target; the
     partial diagnostics are still filled in. Every block runs on ``pool``,
     or on the caller's thread when it is None; with a pool, each pass puts
-    all of its blocks on it before it folds any.
+    all of its blocks on it before it folds any. Each pass also carries the
+    next block of ``evpi``, if given, which enters none of the result's fields.
     """
     states: dict[int, _LevelState] = {}
     warnings: list[str] = []
@@ -242,10 +244,12 @@ def mlmc_run(
     def grow_all(extra: dict[int, int]) -> None:
         """Draw ``extra[level]`` more samples at each level. Each level folds
         its own blocks in block order, level after level, on the caller's
-        thread; with a pool, the blocks of every level reach it first."""
+        thread; with a pool, the blocks of every level reach it first, and
+        the EVPI's block after them."""
         streams = {level: stream.split(level) for level in extra}
         for level in extra:
             states.setdefault(level, _LevelState())
+        carried = [] if evpi is None else evpi.carry()
         shared = None
         if pool is not None:
             shared = _PassPool(pool, [
@@ -254,7 +258,7 @@ def mlmc_run(
                 for block in _level_blocks(
                     model, level, n, streams[level], states[level].next_block
                 )
-            ])
+            ] + carried)
         for level, n in extra.items():
             state = states[level]
             state.next_block = accumulate_level(
@@ -267,6 +271,8 @@ def mlmc_run(
                 first_block=state.next_block,
                 pool=shared,
             )
+        if carried:
+            evpi.results.append(_map_blocks(carried, shared))
 
     def pooled_stats() -> list[LevelStats]:
         return [
@@ -437,18 +443,21 @@ def evppi_report(
     """Estimate EVPI by plain MC and EVPI - EVPPI by the multilevel driver,
     on independent substreams, and report both with EVPPI = EVPI - gap.
 
-    The EVPI is drawn in antithetic pairs (see :mod:`voimc.estimators`),
-    so a given ``n_evpi`` is even and at least 4. With ``n_evpi`` None its
-    block 0 is a pilot that sizes it: with B the pilot's draws and v the
-    per-pair variance of the pair-averaged regret of the pilot's best
-    decision, n_evpi = max(B, 2 ceil(4 v / eps^2)), for a standard error
-    of about eps/2. The pilot stays in the estimate, so the report equals
-    the one given that n_evpi outright.
+    The EVPI is drawn in antithetic pairs, so a given ``n_evpi`` is even
+    and at least 4. With ``n_evpi`` None a pilot block sizes it for a
+    standard error of about eps/2 and stays in the estimate, so the report
+    equals the one given that n_evpi outright (see
+    :class:`voimc.estimators._Evpi`).
 
-    With a pool both share it, as :func:`voimc.estimators._evpi_ahead`
-    describes. If the driver raises, the EVPI draws no further block and
-    the error propagates; so does an error in an EVPI block.
-    The partition is the model's own; build the model with
+    The EVPI's blocks ride the driver's passes: the warm-up pass carries
+    block 0, whose result, if it is the pilot, sizes n_evpi before the next
+    pass lists its blocks, and each later pass carries the next block after
+    its level blocks. The blocks no pass carried are mapped over the pool
+    once the driver returns, and all are folded in block order, so the
+    report is the same for any pool; with a pool no EVPI block runs on the
+    caller's thread. If the driver raises, no EVPI block is mapped after
+    the pass that failed; that error propagates, as does one in an EVPI
+    block. The partition is the model's own; build the model with
     ``make_model(..., outer=...)`` to choose another.
     """
     if n_evpi is not None and (n_evpi < 4 or n_evpi % 2):
@@ -457,9 +466,9 @@ def evppi_report(
             "two antithetic pairs"
         )
     config = MlmcConfig(epsilon=float(epsilon))
-    with _evpi_ahead(model, n_evpi, stream.split(0), pool, config.epsilon) as finish_evpi:
-        result = mlmc_run(model, config, stream.split(1), pool=pool)
-        evpi = finish_evpi()
+    draws = _Evpi(model, n_evpi, stream.split(0), config.epsilon)
+    result = mlmc_run(model, config, stream.split(1), pool=pool, evpi=draws)
+    evpi = draws.finish(pool)
     bias = result.bias_estimate if math.isfinite(result.bias_estimate) else 0.0
     difference_rms = math.sqrt(max(result.variance_of_estimator, 0.0) + bias * bias)
     evppi_rms = math.sqrt(evpi.std_error**2 + difference_rms**2)

@@ -15,14 +15,7 @@ import numpy as np
 
 from voimc import InsufficientDataError, MomentAccumulator
 from voimc.diagnostics import fit_rates, standard_cost
-from voimc.estimators import (
-    Estimate,
-    _blocks,
-    _evpi_ahead,
-    _level_blocks,
-    _map_blocks,
-    _p_block,
-)
+from voimc.estimators import Estimate, _blocks, _Evpi, _level_blocks, _map_blocks, _p_block
 from voimc.mlmc import COMPARISON_WARMUP, ComparisonRow, optimal_allocation
 
 
@@ -54,10 +47,10 @@ def nested_mc(model, n_outer, n_inner, stream, pool=None):
 
 
 def evpi_mc(model, n, stream, pool=None):
-    """Plain-MC EVPI from n joint draws in n/2 antithetic pairs (n even),
-    entered the way ``evppi_report`` enters it, and finished at once."""
-    with _evpi_ahead(model, n, stream, pool) as finish:
-        return finish()
+    """Plain-MC EVPI from n joint draws in n/2 antithetic pairs (n even):
+    the EVPI of ``evppi_report`` with no pass carrying a block, so its
+    finishing call maps them all."""
+    return _Evpi(model, n, stream).finish(pool)
 
 
 def projected_costs(stats, epsilon):

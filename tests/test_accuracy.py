@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from voimc import RandomStream, make_model, synthetic1
-from voimc.estimators import _evpi_ahead
+from voimc.estimators import _Evpi
 from voimc.mlmc import MlmcConfig, mlmc_run
 
 from helpers import evpi_mc
@@ -96,9 +96,9 @@ def test_sized_evpi_mse_within_its_share():
     ref = REFERENCES["bkoc_5_14"]["evpi"]
     errors, counts = [], []
     for k in range(seeds):
-        # the EVPI's substream and routine in evppi_report, at one thread
-        with _evpi_ahead(model, None, RandomStream(FIRST_SEED + k).split(0), None, epsilon) as f:
-            estimate = f()
+        # the EVPI's substream and routine in evppi_report, at one thread;
+        # with no driver's pass to carry the pilot, the finishing call draws it
+        estimate = _Evpi(model, None, RandomStream(FIRST_SEED + k).split(0), epsilon).finish()
         errors.append(estimate.value - ref["value"])
         counts.append(estimate.n)
     assert min(counts) > 52_428

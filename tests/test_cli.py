@@ -208,14 +208,14 @@ def test_run_is_byte_identical_across_runs_and_threads(tmp_path):
     assert paths[0] == paths[1] == paths[2]
 
 
-# A top-up pass puts several levels on the pool at once, and the EVPI runs
-# beside the driver on the same pool; neither may change a byte.
+# A top-up pass puts several levels on the pool at once, and the EVPI's
+# blocks ride the driver's passes on the same pool; neither may change a byte.
 SCHEDULED = [
     ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "20000"],
     ["run", "--model", "synthetic1", "--epsilon", "0.01"],
-    # Four EVPI blocks: at 2 and 3 threads the blocks left when the driver
-    # returns are handed over to the whole pool.
-    ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "200000"],
+    # 23 EVPI blocks over the driver's 20 passes: at 2 and 3 threads the
+    # three no pass carried go to the whole pool once the driver returns.
+    ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "20", "--n", "1200000"],
     # No --n: a pilot block sizes the EVPI from eps (three blocks here).
     ["evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "10"],
 ]

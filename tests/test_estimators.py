@@ -1,11 +1,7 @@
 """Estimator kernels: exact identities, stream layout, and reference values."""
 
 import hashlib
-import itertools
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -399,98 +395,6 @@ def test_evpi_replay_that_draws_differently_raises():
         evpi_mc(ShiftingModel(), 1000, RandomStream(3))
 
 
-class MarkingPool:
-    """A pool whose submitted tasks set ``in_task.active`` on their thread
-    while they run, so a block drawn there can be told from one its ``map``
-    runs."""
-
-    def __init__(self, pool, in_task: threading.local):
-        self.pool = pool
-        self.in_task = in_task
-
-    def submit(self, fn, *args):
-        def marked():
-            self.in_task.active = True
-            try:
-                return fn(*args)
-            finally:
-                self.in_task.active = False
-
-        return self.pool.submit(marked)
-
-    def map(self, fn, *iterables):
-        return self.pool.map(fn, *iterables)
-
-
-def test_evpi_handoff_draws_every_block_once(monkeypatch):
-    # Tiny blocks, more workers than cores and frequent thread switches, so
-    # the finishing call can stop the worker at any block. With n None the
-    # worker draws a pilot block first, which sizes n from eps (about 1,600
-    # draws here), and the finishing call waits for it. Whenever it stops,
-    # the worker has drawn a prefix in block order, and the finishing call's
-    # map draws the rest, each block once and never on the caller's thread.
-    monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 64)
-    model, epsilon = synthetic1(), 0.03
-    alone = {}
-    for n in (2000, None):
-        with estimators._evpi_ahead(model, n, RandomStream(41), epsilon=epsilon) as finish:
-            alone[n] = finish()
-    # the handoff folds to the plain block map of the same blocks
-    plain = map(estimators._run_block, estimators._evpi_blocks(model, 2000, RandomStream(41)))
-    assert alone[2000] == estimators._fold_regrets(model, plain)
-    assert alone[None].n > 1000
-    drawn, by_task, by_map, threads = [], [], [], set()
-    regret_block = estimators._regret_block
-    blocks = 0
-    in_task = threading.local()
-
-    def recorded(model, m, size, stream):
-        drawn.append(stream.path[-1])
-        (by_task if getattr(in_task, "active", False) else by_map).append(stream.path[-1])
-        threads.add(threading.get_ident())
-        if stream.path[-1] == blocks - 1:
-            time.sleep(0.05)  # still running when the finishing call folds
-        return regret_block(model, m, size, stream)
-
-    monkeypatch.setattr(estimators, "_regret_block", recorded)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # delay None: finish only once the worker has claimed the last block
-        for n, delay in itertools.product((2000, None), (0.0, 1e-4, 1e-3, None)):
-            blocks = -(-alone[n].n // 16)  # 16 draws a block: the budget over 4 values a draw
-            for record in (drawn, by_task, by_map, threads):
-                record.clear()
-            results = []
-
-            def draw():
-                with worker_pool(4) as pool:
-                    with estimators._evpi_ahead(
-                        model, n, RandomStream(41), MarkingPool(pool, in_task), epsilon
-                    ) as finish:
-                        if delay is None:
-                            while blocks - 1 not in drawn:
-                                time.sleep(1e-4)
-                        else:
-                            time.sleep(delay)
-                        results.append(finish())
-
-            thread = threading.Thread(target=draw)
-            thread.start()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-            assert sorted(drawn) == list(range(blocks)), (n, delay)
-            assert results == [alone[n]]
-            if n is None:
-                assert drawn[0] == 0  # the pilot, before any claim
-            k = len(by_task)
-            assert by_task == list(range(k)), (n, delay)
-            assert sorted(by_map) == list(range(k, blocks)), (n, delay)
-            assert thread.ident not in threads
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_nested_mc_single_inner_draw_is_zero():
     for model in ALL_MODELS:
         est = nested_mc(model, 2000, 1, RandomStream(37))
@@ -695,38 +599,9 @@ def test_block_working_set_is_bounded():
 
             peak = peak_mb(run)
             assert peak < 6.0, (model.name, level, peak)
-    # one full EVPI block of pairs, held whole at 11.8 MB
-    assert peak_mb(lambda: evpi_mc(bkoc, full_block(bkoc, 1), RandomStream(1))) < 8.0
+    # one full EVPI block of pairs (52,428 draws), walked in chunks: 2.85 MB
+    assert peak_mb(lambda: evpi_mc(bkoc, full_block(bkoc, 1), RandomStream(1))) < 6.0
     # a one-draw block at level 20, streamed along its inner axis
     acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
     assert peak_mb(lambda: accumulate_level(bkoc, 20, 1, RandomStream(2), acc_z, acc_p)) < 32.0
     assert acc_z.n == 1 and acc_p.mean >= acc_z.mean >= 0.0
-
-
-def test_evpi_handoff_maps_the_suffix_before_waiting(monkeypatch):
-    # The task holds block 0 when the finishing call stops it. Block 0 then
-    # waits for block 1, the first of the suffix, to start on the other
-    # worker: it finds it started only if the suffix is mapped before the
-    # finishing call waits for the prefix.
-    monkeypatch.setattr(estimators, "_BLOCK_VALUE_BUDGET", 64)  # 16 draws a block
-    model, n = synthetic1(), 160
-    want = evpi_mc(model, n, RandomStream(43))
-    holding, suffix_started = threading.Event(), threading.Event()
-    found = []
-    regret_block = estimators._regret_block
-
-    def gated(model, m, size, stream):
-        if stream.path[-1] == 0:
-            holding.set()
-            found.append(suffix_started.wait(timeout=10))
-        elif stream.path[-1] == 1:
-            suffix_started.set()
-        return regret_block(model, m, size, stream)
-
-    monkeypatch.setattr(estimators, "_regret_block", gated)
-    with worker_pool(2) as pool:
-        with estimators._evpi_ahead(model, n, RandomStream(43), pool) as finish:
-            assert holding.wait(timeout=10)
-            got = finish()
-    assert found == [True]
-    assert got == want

@@ -1,8 +1,8 @@
 """Driver behavior: allocation, bias control, convergence, reproducibility."""
 
+import itertools
 import math
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +15,6 @@ from voimc import (
     SyntheticModel,
     estimators,
     make_model,
-    mlmc,
     synthetic1,
     synthetic2,
 )
@@ -300,6 +299,60 @@ def test_driver_is_reproducible_across_threads(monkeypatch):
     assert any(len({m for m, _ in blocks}) >= 2 for blocks in maps[1:])
 
 
+def test_evpi_blocks_ride_the_driver_passes(monkeypatch):
+    # The maps evppi_report makes, in order: each pass of the driver maps
+    # its level blocks and then the EVPI's next block, block 0 (the pilot
+    # when n_evpi is None) in the warm-up pass, while any is left; the
+    # blocks no pass carried go out in one map after the last pass. Every
+    # EVPI block is drawn once, on the pool's workers, and the report folds
+    # them to the estimate of the plain block map.
+    model = make_model("bkoc", outer=(5, 14))
+    regret_block = estimators._regret_block
+    drawn, maps = [], []
+
+    def recorded(model, m, size, stream):
+        drawn.append((stream.path[-1], threading.get_ident()))
+        return regret_block(model, m, size, stream)
+
+    class RecordingPool(ThreadPoolExecutor):
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            maps.append([block[5] if block[0] is recorded else "level" for block in blocks])
+            return super().map(fn, blocks)
+
+    monkeypatch.setattr(estimators, "_regret_block", recorded)
+    # 3 sized blocks over 20 passes, and 20 blocks over 13 passes
+    for epsilon, n_evpi in ((10.0, None), (20.0, 10**6)):
+        drawn.clear()
+        maps.clear()
+        with RecordingPool(2) as pool:
+            report = evppi_report(model, epsilon, n_evpi, RandomStream(12), pool=pool)
+        history = report.mlmc_result.history
+        passes = 1 + sum(h["action"] in ("top_up", "extend") for h in history)
+        *carrying, last = maps
+        assert len(carrying) == passes
+        carried = []
+        for kinds in carrying:
+            evpi = [kind for kind in kinds if kind != "level"]
+            assert len(evpi) <= 1 and kinds == ["level"] * (len(kinds) - len(evpi)) + evpi
+            carried += evpi
+        blocks = len(estimators._evpi_blocks(model, report.n_evpi, RandomStream(0)))
+        assert carrying[0][-1] == 0
+        assert carried == list(range(min(passes, blocks)))
+        assert last == list(range(len(carried), blocks))
+        assert sorted(index for index, _ in drawn) == list(range(blocks))
+        assert threading.get_ident() not in {thread for _, thread in drawn}
+        plain = estimators._fold_regrets(model, map(
+            estimators._run_block,
+            estimators._evpi_blocks(model, report.n_evpi, RandomStream(12).split(0)),
+        ))
+        assert (report.evpi, report.evpi_std_error, report.n_evpi) == (
+            plain.value, plain.std_error, plain.n
+        )
+        if n_evpi is None:
+            assert report.n_evpi > estimators._block_size(model, 1, unit=2)
+
+
 def test_sized_evpi_count_follows_the_pilot():
     # Without n_evpi, block 0 of the EVPI is a pilot of the first block's
     # size B, and n_evpi = max(B, 2 ceil(4 v / eps^2)) with v the variance of
@@ -335,35 +388,49 @@ def test_evpi_blocks_left_by_the_driver_spread_over_the_pool(monkeypatch):
     with worker_pool(2) as pool:
         shared = evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
     assert repr(shared) == repr(alone)
-    # 20 EVPI blocks: one worker draws them in order beside the driver, and
-    # those it has not reached when the driver returns go to both workers
+    # 20 EVPI blocks: the driver's passes carry one each, and those no pass
+    # carried go to both workers once the driver returns
     assert len(threads) == 20
     assert len(set(threads)) == 2
     assert threading.get_ident() not in threads
 
 
 def test_driver_error_stops_the_evpi_claims(monkeypatch):
-    # the driver fails 50 ms in: the error propagates, and the worker that
-    # claims the EVPI's 20 blocks stops after the block it holds
+    # A level block of the driver's pass k fails. The error propagates, and
+    # the EVPI, carried one block a pass, has drawn a block-order prefix of
+    # its 20 blocks, at most k+1 of them: no EVPI block is mapped after the
+    # failing pass. Without a pool no carried block is drawn before the
+    # report folds, so none is.
     model = make_model("bkoc", outer=(5, 14))
-    drawn = []
-    regret_block = estimators._regret_block
+    drawn, passes = [], []
+    regret_block, level_block = estimators._regret_block, estimators._level_block
+    carry = estimators._Evpi.carry
+
+    def counted(self):
+        passes.append(len(passes))
+        return carry(self)
 
     def recorded(*args):
         drawn.append(args[-1].path[-1])
         return regret_block(*args)
 
-    def failing(*args, **kwargs):
-        time.sleep(0.05)
-        raise RuntimeError("driver failed")
+    def failing(*args):
+        if len(passes) > k:
+            raise RuntimeError("driver failed")
+        return level_block(*args)
 
+    monkeypatch.setattr(estimators._Evpi, "carry", counted)
     monkeypatch.setattr(estimators, "_regret_block", recorded)
-    monkeypatch.setattr(mlmc, "mlmc_run", failing)
-    with pytest.raises(RuntimeError, match="driver failed"):
-        with worker_pool(2) as pool:
-            evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
-    assert 1 <= len(drawn) <= 10
-    assert drawn == list(range(len(drawn)))
+    monkeypatch.setattr(estimators, "_level_block", failing)
+    for threads, k in itertools.product((1, 2), (0, 2)):
+        drawn.clear()
+        passes.clear()
+        with pytest.raises(RuntimeError, match="driver failed"):
+            with worker_pool(threads) as pool:
+                evppi_report(model, 20.0, 10**6, RandomStream(12), pool=pool)
+        assert len(passes) == k + 1
+        assert sorted(drawn) == list(range(len(drawn))), (threads, k)
+        assert len(drawn) <= (k + 1 if threads > 1 else 0), (threads, k)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -15,12 +15,13 @@ whether the change's median stays within the metric's bound, and prints
 that table to stderr. It then runs the adaptive driver of each checkout
 over ``--seeds`` seeds at the fixed targets in COST_RUNS and records the
 median, quartiles and range of ``total_cost``, and the plain-MC EVPI over
-the seeds of EVPI_RUN, entered through ``_evpi_ahead`` as the EVPPI report
-enters it, for the spread of its estimates against its median reported
-error. Last, it runs each checkout once with ``--trace 1`` on
-TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's and the
-EVPI's times, and the count of EVPI blocks handed off to the pool, read
-from the spans of the last traced call (see ``evpi_timeline``). Before
+the seeds of EVPI_RUN, folded from the block map of its blocks as the EVPPI
+report folds them, for the spread of its estimates against its median
+reported error. Last, it runs each checkout once with ``--trace 1`` on
+TRACE_WORKLOAD and keeps its per-layer metrics, with the driver's time,
+the EVPI blocks the driver's passes carried and those mapped after it, and
+the report's tail after the driver, read from the spans of the last traced
+call (see ``evpi_timeline``). Before
 that it records the ``tracemalloc`` peak of one full block per level of
 MEMORY_LEVELS for each of MEMORY_MODELS, and of one full EVPI block, each
 in its own process (see ``block_memory``), beside the end-to-end
@@ -74,13 +75,13 @@ EVPI_RUN = ("bkoc", (5, 14), 50_000, 40)
 EVPI_CODE = """\
 import json, sys
 from voimc import RandomStream, make_model
-from voimc.estimators import _evpi_ahead
+from voimc.estimators import _evpi_blocks, _fold_regrets, _map_blocks
 name, outer, n, seeds = json.loads(sys.argv[1])
 model = make_model(name, outer=tuple(outer))
-estimates = []
-for seed in range(1, seeds + 1):
-    with _evpi_ahead(model, n, RandomStream(seed)) as finish:
-        estimates.append(finish())
+estimates = [
+    _fold_regrets(model, _map_blocks(_evpi_blocks(model, n, RandomStream(seed))))
+    for seed in range(1, seeds + 1)
+]
 print(json.dumps([[e.value, e.std_error] for e in estimates]))
 """
 
@@ -94,13 +95,14 @@ MEMORY_LEVELS = range(1, 17)
 MEMORY_CODE = """\
 import json, sys, tracemalloc
 from voimc import MomentAccumulator, RandomStream, make_model
-from voimc.estimators import _block_size, _evpi_ahead, accumulate_level
+from voimc.estimators import _block_size, _evpi_blocks, _fold_regrets, _map_blocks
+from voimc.estimators import accumulate_level
 name, outer, level = json.loads(sys.argv[1])
 model = make_model(name, outer=tuple(outer) if outer else None)
 tracemalloc.start()
 if level is None:
-    with _evpi_ahead(model, _block_size(model, 1, unit=2), RandomStream(1)) as finish:
-        finish()
+    _fold_regrets(model, _map_blocks(_evpi_blocks(model, _block_size(model, 1, unit=2),
+                                                  RandomStream(1))))
 else:
     n = _block_size(model, 1 << level)
     accumulate_level(model, level, n, RandomStream(1), MomentAccumulator(), MomentAccumulator())
@@ -112,9 +114,9 @@ print(tracemalloc.get_traced_memory()[1] / 2**20)
 TRACE_WORKLOAD = "bkoc-evppi"
 
 # The same-bytes record: the three workloads' CLI calls (perfbench/run.py,
-# without their --threads) and an EVPPI call whose EVPI outlasts the driver,
-# so that its blocks are handed off to the pool. Each runs at every count of
-# SAME_BYTES_THREADS.
+# without their --threads) and an EVPPI call whose EVPI has more blocks than
+# the driver has passes, so that some are mapped after the driver. Each runs
+# at every count of SAME_BYTES_THREADS.
 SAME_BYTES_COMMANDS = (
     ("run", "--model", "synthetic1", "--epsilon", "0.0008", "--seed", "7"),
     ("evppi", "--model", "bkoc", "--outer", "5,14", "--epsilon", "6", "--seed", "1"),
@@ -201,27 +203,31 @@ def block_memory(tree: Path) -> dict:
 
 
 def evpi_timeline(spans: list[dict]) -> dict:
-    """Seconds of one traced EVPPI call, and the EVPI's handed-off blocks.
-    The EVPI's worker task runs outside any traced block, so its calls are
-    the root spans of the worker threads; it holds its worker from the first
-    of them to the last. The tail is the EVPI's time after the driver
-    returns. The blocks the finishing call maps over the pool once the
-    driver has returned are the ``estimators.block`` spans whose parent is
-    the ``mlmc.evppi_report`` span itself."""
-    main = next(s["thread"] for s in spans if s["name"] == "cli.main")
-    claimer = [s for s in spans if s["parent"] is None and s["thread"] != main]
+    """Seconds of one traced EVPPI call, and where its EVPI blocks ran. An
+    EVPI block is an ``estimators.block`` span whose joint draws have one
+    inner draw per outer draw: its ``models.sample_inner`` children count
+    as many values as its ``models.sample_outer`` ones, where a level
+    block's count 2^l times as many. Those the finishing call maps once the
+    driver has returned have the ``mlmc.evppi_report`` span itself as
+    parent; the others ran in the driver's passes. The tail is the report's
+    time after the driver returns."""
+    draws: dict = {}
+    for s in spans:
+        if s["name"] in ("models.sample_outer", "models.sample_inner"):
+            outer_inner = draws.setdefault(s["parent"], [0, 0])
+            outer_inner[s["name"] == "models.sample_inner"] += s["count"]
+    evpi = [
+        s for s in spans
+        if s["name"] == "estimators.block" and len(set(draws.get(s["id"], [0, 1]))) == 1
+    ]
     driver = next(s for s in spans if s["name"] == "mlmc.mlmc_run")
     report = next(s for s in spans if s["name"] == "mlmc.evppi_report")
+    after = sum(s["parent"] == report["id"] for s in evpi)
     return {
         "driver_s": driver["end"] - driver["start"],
-        "evpi_claimer_holds_worker_s": (
-            max(s["end"] for s in claimer) - min(s["start"] for s in claimer)
-            if claimer else 0.0
-        ),
+        "evpi_blocks_carried_by_passes": len(evpi) - after,
+        "evpi_blocks_mapped_after_driver": after,
         "evpi_tail_after_driver_s": report["end"] - driver["end"],
-        "evpi_blocks_handed_off": sum(
-            s["name"] == "estimators.block" and s["parent"] == report["id"] for s in spans
-        ),
     }
 
 

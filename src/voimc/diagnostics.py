@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
-from .estimators import accumulate_level, accumulate_p_level
+from .estimators import _SAMPLE_BUDGET, accumulate_level
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream
@@ -146,17 +146,19 @@ def level_sweep(
     """Draw n_per_level independent samples at each level, 0 through
     max_level, and return one LevelStats row per level.
 
-    The level-0 row is drawn like any other so its exact zeros are observed
-    rather than assumed; its correction is the gap itself, Z_0 = P_0.
+    Level 0 is drawn like any other, so its exact zeros Z_0 = P_0 = 0 are
+    observed, not assumed. A sweep whose deepest level is over the sample
+    budget of :mod:`voimc.estimators` is refused before level 0 is drawn.
     """
     if max_level < 1:
         raise ConfigError("max_level must be at least 1")
     if n_per_level < 1_000:
         raise ConfigError("level sweeps need at least 1000 draws per level")
-    acc_p0 = MomentAccumulator()
-    accumulate_p_level(model, 0, n_per_level, stream.split(0), acc_p0, pool=pool)
-    rows = [_finite(stats_from_accumulators(0, acc_p0, acc_p0))]
-    for level in range(1, int(max_level) + 1):
+    if n_per_level > _SAMPLE_BUDGET >> max_level:  # n << max_level, never a huge int
+        raise ConfigError(f"{n_per_level} draws at level {max_level} exceed the budget of "
+                          "2^40 inner samples a level")
+    rows = []
+    for level in range(int(max_level) + 1):
         acc_z = MomentAccumulator()
         acc_p = MomentAccumulator()
         accumulate_level(model, level, n_per_level, stream.split(level), acc_z, acc_p, pool=pool)

@@ -6,15 +6,15 @@ average over 2^l inner draws:
 
     P_l = mean_i max_d f_d(X, Y_i)  -  max_d mean_i f_d(X, Y_i),
 
-with P_0 = 0 by construction. The multilevel correction at level l >= 1 is
-the antithetic difference
+with P_0 = 0 by construction. Level 0's correction is the gap itself,
+Z_0 = P_0 = 0; at level l >= 1 it is the antithetic difference
 
     Z_l = 1/2 (max_d fbar_a_d + max_d fbar_b_d) - max_d fbar_d,
 
 where fbar_a / fbar_b average the first / second half of the 2^l inner draws
 (in stream order) and fbar averages all of them. Per decision the half
 averages recombine exactly to the full average, so Z_l vanishes identically
-whenever the three argmax decisions agree; the sum of E[Z_l] over l >= 1
+whenever the three argmax decisions agree; the sum of E[Z_l] over l >= 0
 telescopes to the target.
 
 The kernels keep two bitwise invariants, not just approximate ones:
@@ -54,10 +54,11 @@ and the rest through the block map at the end (_Evpi).
 
 Batch routines split work into fixed-size blocks, one substream per block,
 and merge per-block results in block order: output is bit-identical for any
-worker count. Every batch routine takes one concurrency parameter, ``pool=``:
-with None every block runs on the caller's thread, and with a pool the
-blocks run on its workers. :func:`worker_pool` opens that pool, and a whole
-command shares it.
+worker count, and a batch of more than _SAMPLE_BUDGET inner samples is
+refused before any block is listed. Every batch routine takes one
+concurrency parameter, ``pool=``: with None every block runs on the
+caller's thread, and with a pool the blocks run on its workers.
+:func:`worker_pool` opens that pool, and a whole command shares it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import DecisionModel
 from .moments import MomentAccumulator
 from .streams import RandomStream, VariateSource, _Reflecting, _Replay
@@ -88,6 +90,10 @@ _CHUNK_VALUE_BUDGET = 1 << 16
 # more: the inner-axis sums add rows of (D+1) values per draw, and much
 # shorter rows leave them bound by the cost of each row.
 _CHUNK_MIN_DRAWS = 64
+
+# The most inner samples one batch (a level's draws in a pass, a sweep's level,
+# an EVPI) may ask for: days of sampling, so a larger batch is a target too small.
+_SAMPLE_BUDGET = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,11 @@ def _decision_max(sums: np.ndarray) -> np.ndarray:
 
 def _level_block(model: DecisionModel, m: int, n: int, stream: RandomStream):
     """One block of level draws with m = 2^level inner samples: returns
-    (z, p_fine) arrays of length n."""
+    (z, p_fine) arrays of length n. At level 0 (m = 1) both are the gap
+    draws of :func:`_p_block`, exact zeros: Z_0 = P_0."""
+    if m == 1:
+        p = _p_block(model, 1, n, stream)
+        return p, p
     half = m // 2
     z, p = np.empty(n), np.empty(n)
     for cols, (ga, gb) in _inner_sums(model, m, n, stream, 2):
@@ -237,7 +247,11 @@ def _blocks(
     """The blocks of n outer draws with m inner draws each, as the calls
     :func:`_run_block` makes: ``kernel(model, m, size, stream.split(index))``.
     Full blocks of :func:`_block_size`, then a ragged last one; block
-    indices count up from ``first_block``."""
+    indices count up from ``first_block``. More than _SAMPLE_BUDGET inner
+    samples in all raise :class:`ConfigError` before any block is listed."""
+    if m * n > _SAMPLE_BUDGET:
+        raise ConfigError(f"2^{math.log2(m * n):.1f} inner samples exceed the budget of "
+                          "2^40 a batch: the target is too small or the count too large")
     size = _block_size(model, m, unit)
     return [
         (kernel, model, m, min(size, n - start), stream, first_block + i)
@@ -248,10 +262,9 @@ def _blocks(
 def _level_blocks(
     model: DecisionModel, level: int, n: int, stream: RandomStream, first_block: int = 0
 ) -> list[tuple]:
-    """The blocks of n level-l draws, the layout :func:`accumulate_level`
-    folds; the driver lists a whole pass of them with this too."""
-    if level < 1:
-        raise ValueError("the level correction is defined for levels >= 1")
+    """The blocks of n level-l draws at any level l >= 0 (a negative one
+    raises ValueError), the layout :func:`accumulate_level` folds; the
+    driver lists a whole pass of them with this too."""
     return _blocks(_level_block, model, 1 << level, n, stream, first_block)
 
 
@@ -277,32 +290,16 @@ def accumulate_level(
     first_block: int = 0,
     pool: Executor | None = None,
 ) -> int:
-    """Fold n fresh level-l draws into the accumulators; returns the next
-    free block index. Substreams are ``stream.split(block_index)``, so a
-    later top-up that continues from the returned index extends the same
-    deterministic sequence. The blocks run on ``pool``, or on the caller's
-    thread when it is None."""
+    """Fold n fresh level-l draws into the accumulators, Z_0 = P_0 = 0 into
+    both at level 0; returns the next free block index. Substreams are
+    ``stream.split(block_index)``, so a later top-up that continues from
+    the returned index extends the same deterministic sequence. The blocks
+    run on ``pool``, or on the caller's thread when it is None."""
     blocks = _level_blocks(model, level, n, stream, first_block)
     for z, p in _map_blocks(blocks, pool):
         acc_z.add_block(z)
         acc_p.add_block(p)
     return first_block + len(blocks)
-
-
-def accumulate_p_level(
-    model: DecisionModel,
-    level: int,
-    n: int,
-    stream: RandomStream,
-    acc_p: MomentAccumulator,
-    pool: Executor | None = None,
-) -> None:
-    """Fold n fresh draws of P_l into ``acc_p`` (level 0 allowed), on
-    ``pool`` or, when it is None, on the caller's thread."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    for p in _map_blocks(_blocks(_p_block, model, 1 << level, n, stream), pool):
-        acc_p.add_block(p)
 
 
 def _evpi_blocks(model: DecisionModel, n: int, stream: RandomStream) -> list[tuple]:
@@ -349,8 +346,9 @@ class _Evpi:
         if not self.sized and self.results:
             pilot = next(self.results[0])
             v = min(pilot, key=lambda acc: acc.mean).variance()
-            # eps * eps is inf for a huge eps, where eps**2 raises OverflowError
-            n = 2 * math.ceil(4.0 * v / (self.epsilon * self.epsilon))
+            # eps * eps is inf for a huge eps, where eps**2 raises OverflowError; an n
+            # past the budget (inf for a tiny eps) is capped there, and refused below
+            n = 2 * math.ceil(min(4.0 * v / (self.epsilon * self.epsilon), _SAMPLE_BUDGET))
             n = max(_block_size(self.model, 1, unit=2), n)
             self.blocks, self.sized = _evpi_blocks(self.model, n, self.stream), True
             self.results = [[pilot]]

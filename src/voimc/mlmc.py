@@ -17,13 +17,13 @@ estimates is the bias remainder tested, and a failing test appends one finer
 level with warm-up draws. Sampling inside a level fans out over block
 substreams, and each level folds its blocks in block order, so the whole run
 is reproducible bit for bit from (model, config, seed). The driver and the
-reports take their caller's pool as ``pool=``, and never open one. With a
-pool, a pass puts the blocks of every level it tops up or adds on the pool
-at once, through the one block map of :mod:`voimc.estimators`, and then
-folds each level's blocks on the caller's thread, level by level and in
-block order. Without one, each block runs on the caller's thread as it is
-folded. An EVPPI report's EVPI rides the same passes, one block a pass
-after the level blocks (see :func:`evppi_report`).
+reports take their caller's pool as ``pool=``, and never open one. A pass
+maps the blocks of every level it tops up or adds at once, through the one
+block map of :mod:`voimc.estimators` (on the pool, or lazily on the
+caller's thread without one), and folds each level's blocks on the
+caller's thread, level by level and in block order. An EVPPI report's EVPI
+rides the same passes, one block a pass after the level blocks (see
+:func:`evppi_report`).
 
 The reports built on the driver live here too: the multilevel cost
 against the modeled standard-MC cost from driver runs over several targets
@@ -152,10 +152,10 @@ def optimal_allocation(
     root_vc = math.fsum(math.sqrt(v * c) for v, c in zip(variances, costs))
     eps2 = epsilon * epsilon
     scale = 2.0 / eps2 * root_vc if eps2 > 0.0 else math.inf
-    if not math.isfinite(scale):
+    counts = [scale * math.sqrt(v / c) for v, c in zip(variances, costs)]
+    if not all(map(math.isfinite, counts)):
         raise ConfigError(f"epsilon {epsilon:g} is too small: the allocation is not finite")
-    counts = [int(math.ceil(scale * math.sqrt(v / c))) for v, c in zip(variances, costs)]
-    return counts, False
+    return [int(math.ceil(n)) for n in counts], False
 
 
 def _driver_rates(stats: Sequence[LevelStats]) -> tuple[float, float]:
@@ -203,21 +203,21 @@ class _LevelState:
 
 class _PassPool:
     """The pool a pass hands to :func:`accumulate_level`, one level at a
-    time, and then to the EVPI's block. Its first map puts every block of
-    the pass on the caller's pool at once. That map and each later one
-    return the results of the next ``len(blocks)`` of them, which are the
-    asker's own blocks, because they ask in the order the pass lists them."""
+    time, and then to the EVPI's block. Its first map maps every block of
+    the pass through the block map, on the caller's pool or, without one,
+    lazily on the caller's thread. Each map returns the results of the next
+    ``len(blocks)``: the asker's own, as askers ask in the pass's order."""
 
     __slots__ = ("_pool", "_blocks", "_results")
 
-    def __init__(self, pool: Executor, blocks: list[tuple]) -> None:
+    def __init__(self, pool: Executor | None, blocks: list[tuple]) -> None:
         self._pool = pool
         self._blocks = blocks
         self._results = None
 
     def map(self, fn, blocks):
         if self._results is None:
-            self._results = self._pool.map(fn, self._blocks)
+            self._results = _map_blocks(self._blocks, self._pool)
         return itertools.islice(self._results, len(blocks))
 
 
@@ -242,35 +242,23 @@ def mlmc_run(
     history: list[dict] = []
 
     def grow_all(extra: dict[int, int]) -> None:
-        """Draw ``extra[level]`` more samples at each level. Each level folds
-        its own blocks in block order, level after level, on the caller's
-        thread; with a pool, the blocks of every level reach it first, and
-        the EVPI's block after them."""
+        """Draw ``extra[level]`` more samples at each level. The pass maps
+        the blocks of every level, and the EVPI's block after them, in one
+        :class:`_PassPool`; each level folds its own blocks in block order,
+        level after level, on the caller's thread."""
         streams = {level: stream.split(level) for level in extra}
         for level in extra:
             states.setdefault(level, _LevelState())
         carried = [] if evpi is None else evpi.carry()
-        shared = None
-        if pool is not None:
-            shared = _PassPool(pool, [
-                block
-                for level, n in extra.items()
-                for block in _level_blocks(
-                    model, level, n, streams[level], states[level].next_block
-                )
-            ] + carried)
+        shared = _PassPool(pool, [
+            block
+            for level, n in extra.items()
+            for block in _level_blocks(model, level, n, streams[level], states[level].next_block)
+        ] + carried)
         for level, n in extra.items():
             state = states[level]
-            state.next_block = accumulate_level(
-                model,
-                level,
-                n,
-                streams[level],
-                state.acc_z,
-                state.acc_p,
-                first_block=state.next_block,
-                pool=shared,
-            )
+            state.next_block = accumulate_level(model, level, n, streams[level], state.acc_z,
+                                                state.acc_p, state.next_block, pool=shared)
         if carried:
             evpi.results.append(_map_blocks(carried, shared))
 

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -245,9 +246,10 @@ class GaussianModelSpec:
         object.__setattr__(self, "lam", _number(self.lam, "lambda"))
         if len(self.means) != _N_VARS or len(self.std_devs) != _N_VARS:
             raise ConfigError(f"means and std_devs must each have {_N_VARS} entries")
-        # a mean, spread or lambda that is not finite fails the payoff cap below
-        if not min(self.std_devs) > 0.0:
-            raise ConfigError("std_devs must be positive")
+        # a mean, spread or lambda that is not finite fails the payoff cap below; a
+        # spread whose square underflows (refused for eps too) spoils the covariance
+        if not all(sd > 0.0 and sd * sd >= sys.float_info.min for sd in self.std_devs):
+            raise ConfigError("std_devs must be positive, with squares that do not underflow")
         if not self.lam > 0.0:
             raise ConfigError("lambda must be positive")
         seen = set()
@@ -519,4 +521,7 @@ def make_model(
         raise ConfigError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
     if outer is not None:
         spec = dataclasses.replace(spec, outer_indices=outer)
-    return BkocModel(spec)
+    try:
+        return BkocModel(spec)
+    except np.linalg.LinAlgError as exc:  # a correlation so near 1 it rounds to singular
+        raise ConfigError(f"the covariance of this spec is numerically singular: {exc}") from exc

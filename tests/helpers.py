@@ -1,8 +1,9 @@
 """Test-only routines, each built on the code the library itself runs.
 
-The level draws, the brute-force nested-MC baseline and the plain-MC EVPI
-go through the block map of :mod:`voimc.estimators`, on the same blocks and
-substreams as the driver and the reports, so their bits are the library's;
+The level draws, the P_l fold at any level, the brute-force nested-MC
+baseline and the plain-MC EVPI go through the block map of
+:mod:`voimc.estimators`, on the same blocks and substreams as the driver
+and the reports, so their bits are the library's;
 the cost projection is built on the driver's public arithmetic. The
 antithetic half averages are an independent replay of the level kernel's
 reductions, and the whole-block kernels a reference for its chunk walk.
@@ -27,6 +28,14 @@ def sample_level_batch(model, level, n, stream, pool=None, first_block=0):
         return np.empty(0), np.empty(0)
     zs, ps = zip(*_map_blocks(blocks, pool))
     return np.concatenate(zs), np.concatenate(ps)
+
+
+def accumulate_p_level(model, level, n, stream, acc_p, pool=None):
+    """Fold n fresh draws of P_l into ``acc_p``, at any level l >= 0 (a
+    negative one raises ValueError): the gap kernel alone, on the block
+    layout of :func:`voimc.estimators.accumulate_level`."""
+    for p in _map_blocks(_blocks(_p_block, model, 1 << level, n, stream), pool):
+        acc_p.add_block(p)
 
 
 def nested_mc(model, n_outer, n_inner, stream, pool=None):

@@ -26,11 +26,12 @@ from voimc import (
     synthetic3,
 )
 from voimc.diagnostics import fit_rates, level_sweep
-from voimc.estimators import accumulate_p_level, worker_pool
+from voimc.estimators import worker_pool
 from voimc.mlmc import MlmcConfig, cost_comparison, mlmc_run
 from voimc.models import GaussianModelSpec
 
 from helpers import (
+    accumulate_p_level,
     antithetic_terms,
     evpi_mc,
     nested_mc,

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import warnings
 
 import pytest
 
 from voimc import cli, estimators
 from voimc.cli import main
-from voimc.models import BKOC_MEANS
+from voimc.models import BKOC_MEANS, BKOC_STD_DEVS
 
 
 def run_cli(tmp_path, *argv):
@@ -149,6 +151,67 @@ def test_unwritable_output_exits_3_before_sampling(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err.strip()
     assert json.loads(err)["error"] == "config"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def assert_refused(tmp_path, capsys, argv, keep=()):
+    """``argv`` exits 3 with one JSON line on stderr, no warning and no file
+    but those in ``keep``."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "config", argv
+    assert sorted(tmp_path.rglob("*")) == sorted(keep), argv
+
+
+@pytest.mark.parametrize("variable, std_dev", [(7, 1e-170), (1, 1e-200), (5, 1e-160)])
+def test_std_dev_whose_square_underflows_exits_3_before_sampling(
+    tmp_path, monkeypatch, capsys, variable, std_dev
+):
+    # 1e-170 and 1e-200 square to 0, and the model raised LinAlgError as it
+    # was built; 1e-160 squares to a subnormal, and the model warned, got a
+    # NaN conditional gain and sampled before it failed
+    std_devs = list(BKOC_STD_DEVS)
+    std_devs[variable - 1] = std_dev
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"std_devs": std_devs}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling started for a spread whose square underflows")
+
+    for name in ("mlmc_run", "level_sweep", "cost_comparison", "evppi_report"):
+        monkeypatch.setattr(f"voimc.cli.{name}", refuse)
+    for argv in (
+        ["run", "--epsilon", "300"],
+        ["levels", "--max-level", "2", "--n", "1000"],
+        ["compare", "--epsilon", "300"],
+        ["evppi", "--epsilon", "300"],
+    ):
+        assert_refused(tmp_path, capsys, [*argv, "--config", str(cfg)], keep=[cfg])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1.25e299 level-1 draws at the first allocation
+        ["run", "--model", "synthetic1", "--epsilon", "1e-150"],
+        ["compare", "--model", "synthetic1", "--epsilon", "1e-150"],
+        # an EVPI sized at 1.3e307 draws
+        ["evppi", "--model", "bkoc", "--epsilon", "1e-150"],
+        # 3.8e9 level-0 blocks
+        ["levels", "--model", "synthetic1", "--n", "1000000000000000", "--max-level", "2"],
+        # level after level, to 1000 x 2^60 inner samples
+        ["levels", "--model", "synthetic1", "--n", "1000", "--max-level", "60"],
+    ],
+    ids=["run", "compare", "evppi", "levels-n", "levels-max-level"],
+)
+def test_batches_past_the_sample_budget_exit_3_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert_refused(tmp_path, capsys, argv)
+    assert time.perf_counter() - start < 1.0, argv
 
 
 def test_refused_write_exits_3(tmp_path, monkeypatch, capsys):

@@ -19,15 +19,12 @@ from voimc import (
     synthetic3,
 )
 from voimc.diagnostics import stats_from_accumulators
-from voimc.estimators import (
-    _BLOCK_VALUE_BUDGET,
-    accumulate_level,
-    accumulate_p_level,
-    worker_pool,
-)
+from voimc.errors import ConfigError
+from voimc.estimators import _BLOCK_VALUE_BUDGET, accumulate_level, worker_pool
 from voimc.models import GaussianModelSpec
 
 from helpers import (
+    accumulate_p_level,
     antithetic_terms,
     evpi_mc,
     nested_mc,
@@ -92,11 +89,40 @@ def test_level_validation():
     s = RandomStream(0)
     acc = MomentAccumulator()
     with pytest.raises(ValueError):
-        accumulate_level(m, 0, 1, s, acc, acc)
+        accumulate_level(m, -1, 1, s, acc, acc)
     with pytest.raises(ValueError):
-        sample_level_batch(m, 0, 10, s)
+        sample_level_batch(m, -1, 10, s)
     with pytest.raises(ValueError):
         accumulate_p_level(m, -1, 1, s, acc)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_level_zero_folds_exact_zeros_into_both(threads):
+    # level 0 is a level like any other: Z_0 = P_0 = 0.0, to the bit, in both
+    # accumulators, over several blocks and a ragged last one
+    for model in ALL_MODELS:
+        n = 2 * full_block(model, 1) + 3
+        acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
+        with worker_pool(threads) as pool:
+            nxt = accumulate_level(model, 0, n, RandomStream(5), acc_z, acc_p, pool=pool)
+        assert nxt == 3
+        for acc in (acc_z, acc_p):
+            assert acc.n == n
+            assert (acc.mean, acc.m2, acc.m3, acc.m4) == (0.0, 0.0, 0.0, 0.0), model.name
+        z, p = sample_level_batch(model, 0, 1000, RandomStream(6))
+        assert z.tobytes() == p.tobytes() == np.zeros(1000).tobytes()
+
+
+def test_sample_budget_refuses_a_batch_before_listing_it():
+    # 2^61 inner samples: refused at once, where listing them would not end
+    with pytest.raises(ConfigError, match="budget"):
+        estimators._level_blocks(synthetic1(), 1, 1 << 60, RandomStream(0))
+    with pytest.raises(ConfigError, match="budget"):
+        estimators._evpi_blocks(BkocModel(), 2 * 10**300, RandomStream(0))
+    # the budget itself is allowed: one draw at level 40 is one block
+    assert len(estimators._level_blocks(synthetic1(), 40, 1, RandomStream(0))) == 1
+    with pytest.raises(ConfigError, match="budget"):
+        estimators._level_blocks(synthetic1(), 40, 2, RandomStream(0))
 
 
 def test_p_level_zero_is_exactly_zero():

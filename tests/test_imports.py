@@ -74,7 +74,6 @@ PUBLIC = {
     "estimators": {
         "Estimate",
         "accumulate_level",
-        "accumulate_p_level",
         "worker_pool",
     },
     "mlmc": {

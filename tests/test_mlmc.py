@@ -109,6 +109,9 @@ def test_allocation_degenerate_and_invalid():
     for tiny in (1e-300, 1e-160):
         with pytest.raises(ConfigError, match="not finite"):
             optimal_allocation([ls(1)], tiny, min_allocation=10_000)
+    # a finite scale whose count is not: 2 / eps^2 * sqrt(V C) * sqrt(V / C) = 2e308
+    with pytest.raises(ConfigError, match="not finite"):
+        optimal_allocation([ls(1, var_z=1e4)], 1e-152, min_allocation=10_000)
 
 
 def test_zero_variance_level_gets_no_extra_samples():
@@ -205,7 +208,7 @@ def test_warmup_basics():
         MlmcConfig(epsilon=10.0, warmup_samples=50)
     with pytest.raises(ValueError):
         accumulate_level(
-            synthetic1(), 0, 500, RandomStream(0), MomentAccumulator(), MomentAccumulator()
+            synthetic1(), -1, 500, RandomStream(0), MomentAccumulator(), MomentAccumulator()
         )
 
 
@@ -372,6 +375,16 @@ def test_sized_evpi_count_follows_the_pilot():
         counts[epsilon] = sized.n_evpi
     # eps 10 draws past the pilot; at eps 20 the pilot alone is enough
     assert counts == {10.0: 131_754, 20.0: first} and first == 52_428
+
+
+def test_sized_evpi_past_the_sample_budget_is_refused():
+    # at eps 1.5e-154, 4 v / eps^2 is inf: the count is refused as past the
+    # budget, never handed to math.ceil
+    model = make_model("bkoc", outer=(5, 14))
+    evpi = estimators._Evpi(model, None, RandomStream(1), 1.5e-154)
+    evpi.results.append(estimators._map_blocks(evpi.carry()))
+    with pytest.raises(ConfigError, match="budget"):
+        evpi.carry()
 
 
 def test_evpi_blocks_left_by_the_driver_spread_over_the_pool(monkeypatch):

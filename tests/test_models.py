@@ -296,6 +296,12 @@ def test_spec_validation():
         with pytest.raises(ConfigError):
             GaussianModelSpec(**bad)
     GaussianModelSpec(lam=1e50)
+    # a spread whose square is 0 or subnormal, as for eps: 1.5e-154 squares
+    # to 2.25e-308, a normal double, and 1.4e-154 no longer does
+    for tiny in (1e-160, 1e-170, 1e-200, 1.4e-154, 5e-324, -1.0):
+        with pytest.raises(ConfigError, match="underflow"):
+            GaussianModelSpec(std_devs=(tiny,) + BKOC_STD_DEVS[1:])
+    BkocModel(GaussianModelSpec(std_devs=(1.5e-154,) + BKOC_STD_DEVS[1:]))
 
 
 def test_dense_pairs_accepted():
@@ -306,7 +312,7 @@ def test_dense_pairs_accepted():
     assert corr[6, 15] == 0.6
 
 
-def test_make_model_registry():
+def test_make_model_registry(tmp_path):
     assert make_model("synthetic2").name == "synthetic2"
     model = make_model("bkoc", outer=(5, 6, 14, 15))
     assert model.spec.outer_indices == (5, 6, 14, 15)
@@ -324,6 +330,12 @@ def test_make_model_registry():
         make_model()
     with pytest.raises(ConfigError):
         make_model("bkoc", config="x.json")
+    # a correlation below 1 whose covariance block rounds to singular: the
+    # correlation matrix passes, the outer block's factor fails
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({"correlated_pairs": [[5, 14, 1.0 - 2.0**-53]]}))
+    with pytest.raises(ConfigError, match="numerically singular"):
+        make_model(config=near)
 
 
 def test_load_model_config(tmp_path):

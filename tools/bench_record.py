@@ -28,8 +28,9 @@ in its own process (see ``block_memory``), beside the end-to-end
 ``peak_rss_mb`` of the pairs. Finally it
 runs each command of SAME_BYTES_COMMANDS on both checkouts at 1, 2 and 3
 threads and records the sha256 of every output file, with a
-``same_bytes`` flag per command and one for the whole list. Both
-checkouts run on the same machine, one process at a time; the machine record of every run is in
+``same_bytes`` flag per command and one for the whole list. It also
+records the line count of each checkout's ``src/voimc/*.py``
+(``src_lines``). Both checkouts run on the same machine, one process at a time; the machine record of every run is in
 its report line. Only the standard library is used; each checkout needs
 its own ``src/voimc``.
 """
@@ -284,6 +285,11 @@ def same_bytes(trees: dict) -> dict:
     }
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the checkout's ``src/voimc/*.py``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "voimc").glob("*.py"))
+
+
 def summary(runs: list[dict]) -> dict:
     """Median and quartiles of each end-to-end metric over the runs of one side."""
     out = {}
@@ -381,6 +387,7 @@ def main(argv=None) -> int:
         "block_memory_mb": {side: block_memory(tree) for side, tree in trees.items()},
         "trace": {side: trace_once(tree, args.seconds) for side, tree in trees.items()},
         "same_bytes": same_bytes(trees),
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

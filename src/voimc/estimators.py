@@ -29,21 +29,25 @@ The kernels keep two bitwise invariants, not just approximate ones:
   scalings.
 
 A block is walked in chunks (_inner_sums): one sample_outer call, then
-sample_inner on consecutive slices of c outer draws, each chunk paid off
-into a view of one (m, D+1, c) buffer reused across the block: inner draw,
-decision plane, outer draw. The models write their payoffs straight into
-the first D planes of that view, and each chunk is reduced where it is
-made, so a worker holds about _CHUNK_VALUE_BUDGET payoff values of a block
-at a time (at least _CHUNK_MIN_DRAWS outer draws), never the whole block.
-The inner axis is always reduced as the outermost axis of the buffer, so
-numpy adds whole (D+1, c) rows one inner draw at a time and every sum runs
-in draw order, for any c. A one-draw block too wide for the block budget is
-walked along its inner axis instead, and each sum is carried from slice to
-slice, still one inner draw at a time. So the chunking never changes a
-bit. Never reduce a contiguous last axis, and never an (m, 1) array or the
-middle axis of a (D+1, m, 1) one: numpy sums those pairwise, which breaks
-the bitwise identities at c = 1 (deep levels, and the ragged last chunk of
-a block) and changes the output bits.
+one sample_inner call on each consecutive slice of c outer draws, each chunk
+paid off into a view of one (m, D+1, c) buffer reused across the block:
+inner draw, decision plane, outer draw. The models write their payoffs
+straight into the first D planes of that view, and each chunk is reduced
+where it is made. A chunk whose payoff planes outgrow _CHUNK_VALUE_BUDGET
+values is paid off and reduced in power-of-two tiles of its inner axis, so
+the model gets a strided inner-axis view of the chunk's draws; a one-draw
+block too wide for the block budget has each tile draw its own inner slice.
+So at every level a worker holds at most about _CHUNK_VALUE_BUDGET payoff
+values of a block at a time, and one chunk's inner draws, never the whole
+block. The inner axis is always reduced as the outermost axis of the
+buffer, so numpy adds whole (D+1, c) rows one inner draw at a time and every
+sum runs in draw order, for any c; a tile carries each sum on from the tile
+before in a spare leading row, still one inner draw at a time. So the
+chunking and the tiling never change a bit. Never reduce a contiguous
+last axis, and never an (m, 1) array or the middle axis of a (D+1, m, 1)
+one: numpy sums those pairwise, which breaks the bitwise identities at
+c = 1 (deep levels, and the ragged last chunk of a block) and changes the
+output bits.
 
 The EVPI, E[max_d f_d] - max_d E[f_d], is plain Monte Carlo over joint
 draws (m = 1) in antithetic pairs, whatever the layout of a model's draws:
@@ -81,9 +85,9 @@ from .streams import RandomStream, VariateSource, _Reflecting, _Replay
 # on the model's dimensions and the inner count, never on worker count.
 _BLOCK_VALUE_BUDGET = 1 << 20
 
-# Chunk sizing: a block is walked in chunks of about this many payoff values,
-# so a worker's working set stays the same at every level and for any block
-# size, and the output bits do not depend on it.
+# Chunk sizing: a block is walked in chunks, and a wide chunk in tiles, of at
+# most about this many payoff values, so a worker's working set stays the same
+# at every level and for any block size, and the output bits do not depend on it.
 _CHUNK_VALUE_BUDGET = 1 << 16
 
 # ...but an outer chunk keeps at least this many draws while its block holds
@@ -129,6 +133,15 @@ def _fill_best(
     return g
 
 
+def _tile(m: int, values: int) -> int:
+    """Inner draws per tile of m inner draws of ``values`` values each: all
+    m when they fit in _CHUNK_VALUE_BUDGET, else the largest power of two
+    that does (at least one)."""
+    if m * values <= _CHUNK_VALUE_BUDGET:
+        return m
+    return 1 << (max(1, _CHUNK_VALUE_BUDGET // values).bit_length() - 1)
+
+
 def _inner_sums(model: DecisionModel, m: int, n: int, stream: VariateSource, parts: int):
     """Walk one block of n outer draws with m inner draws each in stream
     order, and yield ``(cols, sums)`` per chunk of outer draws ``cols``:
@@ -137,37 +150,45 @@ def _inner_sums(model: DecisionModel, m: int, n: int, stream: VariateSource, par
 
     The block makes one ``sample_outer`` call, then one ``sample_inner``
     call per chunk, on consecutive slices of the outer draws: at least
-    _CHUNK_MIN_DRAWS of them, or about _CHUNK_VALUE_BUDGET values. A
-    one-draw block wider than _BLOCK_VALUE_BUDGET is walked along its inner
-    axis instead, in power-of-two slices that never cross a run; each slice
-    after the first of its run follows the run's sum in a spare leading row
-    of the chunk buffer, so the sum goes on row by row from where it was."""
+    _CHUNK_MIN_DRAWS of them, or about _CHUNK_VALUE_BUDGET values. A chunk
+    whose (m, D+1, c) payoff planes fit in _CHUNK_VALUE_BUDGET values is
+    paid off whole; a wider one is paid off and reduced in power-of-two
+    tiles of its inner axis that fit, none crossing a run, the last of a
+    run perhaps ragged. A one-draw block wider than _BLOCK_VALUE_BUDGET has
+    each tile draw its own inner slice instead. Each tile after the first of
+    its run follows the run's sum in a spare leading row of the tile
+    buffer, so the sum goes on row by row from where it was."""
     x = model.sample_outer(stream, n)
     d = model.decision_count
     run = m // parts
-    if m * _width(model) > _BLOCK_VALUE_BUDGET:  # a one-draw block
-        step = 1 << ((_CHUNK_VALUE_BUDGET // _width(model)).bit_length() - 1)
-        buf = np.empty((step + 1, d + 1, 1))
-        sums, lo = [], 0
-        while lo < m:
-            k = min(step, run - lo % run)
-            g = _fill_best(model, x, model.sample_inner(x, stream, k), buf[1 : k + 1])
-            if lo % run == 0:
-                sums.append(g.sum(axis=0))
-            else:
-                buf[0] = sums[-1]
-                sums[-1] = buf[: k + 1].sum(axis=0)
-            lo += k
-        yield slice(0, 1), sums
-        return
-    rows = max(_CHUNK_MIN_DRAWS, _CHUNK_VALUE_BUDGET // (m * _width(model)))
-    flat = np.empty(m * (d + 1) * min(rows, n))
+    one_draw = m * _width(model) > _BLOCK_VALUE_BUDGET
+    rows = 1 if one_draw else max(_CHUNK_MIN_DRAWS, _CHUNK_VALUE_BUDGET // (m * _width(model)))
+    # values per inner draw and outer draw of a tile: a one-draw tile holds its inner slice too
+    w = _width(model) if one_draw else d + 1
+    steps = {c: _tile(m, w * c) for c in (min(rows, n), (n - 1) % rows + 1)}  # first, last chunk
+    flat = np.empty(max((step + (step < m)) * (d + 1) * c for c, step in steps.items()))
     for start in range(0, n, rows):
         cols = slice(start, min(start + rows, n))
         xs = x[cols]
-        g = flat[: m * (d + 1) * len(xs)].reshape(m, d + 1, len(xs))
-        _fill_best(model, xs, model.sample_inner(xs, stream, m), g)
-        yield cols, [g[k * run : (k + 1) * run].sum(axis=0) for k in range(parts)]
+        step = steps[len(xs)]
+        spare = int(step < m)  # the leading row a tiled chunk carries its sums in
+        y = None if one_draw else model.sample_inner(xs, stream, m)
+        sums, lo = [], 0
+        while lo < m:
+            k = m if step == m else min(step, run - lo % run)
+            tile = flat[: (k + spare) * (d + 1) * len(xs)].reshape(k + spare, d + 1, len(xs))
+            g = _fill_best(
+                model, xs, model.sample_inner(xs, stream, k) if y is None else y[:, lo : lo + k],
+                tile[spare:],
+            )
+            if lo % run:
+                tile[0] = sums[-1]
+                sums[-1] = tile.sum(axis=0)
+            else:
+                sums += [g[a : a + run].sum(axis=0) for a in range(0, k, run)]
+            lo += k
+        del y  # the chunk's draws are not held while its sums are read
+        yield cols, sums
 
 
 def _decision_max(sums: np.ndarray) -> np.ndarray:

@@ -42,8 +42,8 @@ class DecisionModel(ABC):
     same calls for the same n and m. The EVPI replays a block's calls to
     draw their reflections, and raises ``ValueError`` if they differ. A
     block calls ``sample_outer`` once and ``sample_inner`` on consecutive
-    row slices of its outer draws, or at deep levels on consecutive slices
-    of its inner axis, in stream order.
+    row slices of its outer draws, or, for a one-draw block at a deep
+    level, on consecutive slices of its inner axis, in stream order.
     """
 
     name: str
@@ -71,7 +71,10 @@ class DecisionModel(ABC):
         filled; otherwise ``out`` must be a view of that kind, and it is
         filled and returned. The estimators pass a view of the first planes
         of one chunk of a block: the n outer draws of a slice of the block's
-        draws, or, at deep levels, m draws of a slice of its inner axis.
+        draws, with the m draws of a slice of its inner axis when the chunk
+        is too wide to pay off at once. ``inner`` may then be a strided view,
+        ``y[:, lo:lo + m]`` of a chunk's draws ``y``, and the payoff of each
+        (X_i, Y_ij) must not depend on which slice it is paid off in.
         """
 
     def conditional_means(self, outer: np.ndarray) -> np.ndarray:

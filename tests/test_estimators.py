@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,6 +603,45 @@ def test_streamed_one_draw_blocks_match_the_whole_block(name, level):
         assert_matches_whole_block(model, level, 1, RandomStream(60).split(b))
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_tiled_chunks_match_the_whole_block(name):
+    # a chunk whose (m, D+1, c) payoff planes exceed the chunk budget is paid
+    # off in power-of-two tiles of its inner axis, here at least two per
+    # half, with each half sum carried from tile to tile; a chunk that fits,
+    # such as the ragged last chunk of one draw at n = 65, is paid off at once
+    model = KERNEL_MODELS[name]()
+    d, payoffs, calls = model.decision_count, model.payoffs, []
+
+    def recorded(outer, inner, out=None):
+        calls.append(inner.shape[:2])
+        return payoffs(outer, inner, out)
+
+    model.payoffs = recorded
+    kinds = set()
+    for level in (11, 12):
+        m = 1 << level
+        rows = chunk_rows(model, m)
+        for n in (64, 65, full_block(model, m)):
+            calls.clear()
+            estimators._level_block(model, m, n, RandomStream(level).split(n))
+            left = iter(calls)
+            for c in [min(rows, n - start) for start in range(0, n, rows)]:
+                tiles = [next(left)]
+                while sum(k for _, k in tiles) < m:
+                    tiles.append(next(left))
+                k = tiles[0][1]
+                fits = m * (d + 1) * c <= estimators._CHUNK_VALUE_BUDGET
+                kinds.add(fits)
+                if fits:
+                    assert tiles == [(c, m)], (name, level, n)
+                else:
+                    assert set(tiles) == {(c, k)} and k & (k - 1) == 0, (name, level, n)
+                    assert m // 2 >= 2 * k, (name, level, n)
+            assert next(left, None) is None, (name, level, n)
+            assert_matches_whole_block(model, level, n, RandomStream(level).split(n))
+    assert kinds == {True, False}
+
+
 def peak_mb(run):
     """Peak of the memory traced while ``run()`` runs, in MB."""
     tracemalloc.start()
@@ -612,11 +655,19 @@ def peak_mb(run):
 
 
 def test_block_working_set_is_bounded():
-    # one full block, walked in chunks, at shallow levels; a whole-block
-    # kernel held 15.3-15.6 MB for bkoc, 18.0 MB for synthetic1 at level 1
-    bkoc = BkocModel()
-    for model in (bkoc, synthetic1()):
-        for level in range(1, 9):
+    # one full block per level, walked in chunks and a wide chunk in tiles of
+    # its inner axis; a whole-block kernel held 15.3-15.6 MB for bkoc and
+    # 18.0 MB for synthetic1 at level 1, and untiled chunks of 64 draws
+    # 15.3 MB for bkoc at level 10 and 8.2 MB for synthetic1 at levels 12-18
+    bkoc, synth = BkocModel(), synthetic1()
+    bounds = [
+        (bkoc, range(1, 9), 6.0),
+        (synth, range(1, 9), 6.0),
+        (synth, range(9, 21), 3.0),
+        (bkoc, range(9, 17), 10.0),
+    ]
+    for model, levels, bound in bounds:
+        for level in levels:
             n = full_block(model, 1 << level)
 
             def run():
@@ -624,10 +675,41 @@ def test_block_working_set_is_bounded():
                 accumulate_level(model, level, n, RandomStream(level), acc_z, acc_p)
 
             peak = peak_mb(run)
-            assert peak < 6.0, (model.name, level, peak)
+            assert peak < bound, (model.name, level, peak)
     # one full EVPI block of pairs (52,428 draws), walked in chunks: 2.85 MB
     assert peak_mb(lambda: evpi_mc(bkoc, full_block(bkoc, 1), RandomStream(1))) < 6.0
-    # a one-draw block at level 20, streamed along its inner axis
+    # a one-draw block at level 20, each tile drawing its own inner slice: 0.63 MB
     acc_z, acc_p = MomentAccumulator(), MomentAccumulator()
-    assert peak_mb(lambda: accumulate_level(bkoc, 20, 1, RandomStream(2), acc_z, acc_p)) < 32.0
+    assert peak_mb(lambda: accumulate_level(bkoc, 20, 1, RandomStream(2), acc_z, acc_p)) < 1.0
     assert acc_z.n == 1 and acc_p.mean >= acc_z.mean >= 0.0
+
+
+# One full synthetic1 block at level 14 and one bkoc (5,14) block at level
+# 12, in a process whose address space may grow by HEADROOM_MB at most once
+# its imports are done: these blocks needed 3 and 9 MB of it with tiled
+# chunks, 8 and 15 MB with untiled ones.
+HEADROOM_MB = 12
+RLIMIT_CODE = """\
+import resource, sys
+from voimc import MomentAccumulator, RandomStream, make_model
+from voimc.estimators import _block_size, accumulate_level
+blocks = [(make_model("synthetic1"), 14), (make_model("bkoc", outer=(5, 14)), 12)]
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+limit = size + int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+for model, level in blocks:
+    n = _block_size(model, 1 << level)
+    accumulate_level(model, level, n, RandomStream(level), MomentAccumulator(), MomentAccumulator())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_deep_blocks_run_under_an_address_space_limit():
+    src = Path(estimators.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", RLIMIT_CODE, str(HEADROOM_MB)],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

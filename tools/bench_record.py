@@ -89,9 +89,11 @@ print(json.dumps([[e.value, e.std_error] for e in estimates]))
 
 # The block-memory record: the tracemalloc peak, in MB, of one full level
 # block through the public ``accumulate_level`` at each of MEMORY_LEVELS for
-# each model, and of one full EVPI block, each in its own subprocess.
+# each model, and of one full EVPI block, each in its own subprocess. The
+# levels reach past both models' switch to one-draw blocks (bkoc at 16,
+# synthetic1 at 19).
 MEMORY_MODELS = {"bkoc (5,14)": ("bkoc", (5, 14)), "synthetic1": ("synthetic1", None)}
-MEMORY_LEVELS = range(1, 17)
+MEMORY_LEVELS = range(1, 21)
 
 MEMORY_CODE = """\
 import json, sys, tracemalloc
